@@ -43,6 +43,7 @@ from benchmarks.conftest import OUTPUT_DIR, write_output
 from repro.compile import CompileCache, CompiledBucket
 from repro.core.backends import FastCPUBackend, _DecodeCache
 from repro.core.results import format_table
+from repro.envs.rollout import Tick
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
 from repro.neat.vectorized import PopulationEvaluator
@@ -83,10 +84,11 @@ def _weight_mutated_offspring(parents):
 
 
 def _observations(config, slots, tick):
+    """One lock-step :class:`Tick`: every slot live, one normal draw per
+    slot in slot order."""
     rng = np.random.default_rng(1000 + tick)
-    return {
-        slot: rng.normal(size=config.num_inputs) for slot in slots
-    }
+    rows = [rng.normal(size=config.num_inputs) for _ in slots]
+    return Tick(slots, np.array(rows))
 
 
 def _run_ticks(config, plans, count):
@@ -180,8 +182,9 @@ def test_compile_speedup():
 
     # the speedup is exact-result: identical bits on every tick
     for fast_tick, comp_tick in zip(fast_out, comp_out):
-        for slot in fast_tick:
-            assert np.array_equal(fast_tick[slot], comp_tick[slot])
+        assert fast_tick.shape == comp_tick.shape
+        for fast_row, comp_row in zip(fast_tick, comp_tick):
+            assert np.array_equal(fast_row, comp_row)
 
     prep_speedup = fast_prep / comp_prep
     total_speedup = (fast_prep + fast_shared) / (comp_prep + comp_shared)

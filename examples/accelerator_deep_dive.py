@@ -12,6 +12,7 @@ behaviour vs the float reference.
 import numpy as np
 
 from repro.analysis import render_network
+from repro.envs.rollout import Tick
 from repro.inax import (
     FixedPointFormat,
     INAX,
@@ -57,7 +58,7 @@ def main() -> None:
     device = INAX(INAXConfig(num_pus=4, num_pes_per_pu=4))
     device.begin_wave([hw, hw, hw])
     for step in range(5):
-        device.step({i: rng.uniform(-1, 1, 8) for i in range(3)})
+        device.step(Tick(range(3), rng.uniform(-1, 1, (3, 8))))
     device.end_wave()
     report = device.report
     print(f"  total {report.total_cycles:,.0f} cycles over {report.steps} "

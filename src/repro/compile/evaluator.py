@@ -17,11 +17,16 @@ bit-identical to the ``cpu``/``cpu-fast`` paths by construction.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.compile.structure import CompiledStructure
 from repro.neat.genome import Genome
 from repro.neat.vectorized import PopulationEvaluator, _apply_activations
+
+if TYPE_CHECKING:
+    from repro.envs.rollout import Tick
 
 __all__ = ["CompiledBucket", "CompiledPopulationEvaluator"]
 
@@ -156,8 +161,7 @@ class CompiledPopulationEvaluator:
     def rebuilds(self) -> int:
         return self._flat.rebuilds
 
-    def infer(
-        self, observations: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """One lock-step tick: ``{slot: obs}`` -> ``{slot: raw output}``."""
-        return self._flat.infer(observations)
+    def infer(self, tick: Tick) -> np.ndarray:
+        """One lock-step tick: a :class:`~repro.envs.rollout.Tick` ->
+        the ``(k, num_outputs)`` raw outputs of its live slots."""
+        return self._flat.infer(tick)

@@ -41,6 +41,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.compile import CompileCache, CompiledPopulationEvaluator
 from repro.core.profiler import PhaseProfiler
 from repro.envs.base import Environment
@@ -397,6 +399,21 @@ class GPUBackend(CPUBackend):
     """
 
     name = "gpu"
+
+
+def _interpreted_infer(nets):
+    """Lock-step infer over interpreted networks: row ``i`` of the
+    returned block is ``nets[tick.slots[i]].activate(tick.obs[i])``."""
+
+    def infer(tick):
+        return np.stack(
+            [
+                nets[slot].activate(obs)
+                for slot, obs in zip(tick.slots.tolist(), tick.obs)
+            ]
+        )
+
+    return infer
 
 
 @dataclass
@@ -837,15 +854,14 @@ class FastCPUBackend(CPUBackend):
             evaluator = PopulationEvaluator(
                 [decoded[i].vnet for i, _ in slots]
             )
-            interpreted = [decoded[i].net for i, _ in slots]
+            interpreted = _interpreted_infer(
+                [decoded[i].net for i, _ in slots]
+            )
 
-            def infer(observations):
-                if len(observations) >= self.SMALL_WAVE:
-                    return evaluator.infer(observations)
-                return {
-                    m: interpreted[m].activate(obs)
-                    for m, obs in observations.items()
-                }
+            def infer(tick):
+                if len(tick) >= self.SMALL_WAVE:
+                    return evaluator.infer(tick)
+                return interpreted(tick)
 
             for slot, record in zip(
                 slots, run_lockstep(envs, infer, seeds=seeds)
@@ -1496,14 +1512,7 @@ class INAXBackend(EvaluationBackend):
             if all(vnet is not None for vnet in vnets):
                 evaluator = PopulationEvaluator(vnets)
                 return run_lockstep(envs, evaluator.infer, seeds=seeds)
-
-        def infer(observations):
-            return {
-                slot: nets[slot].activate(obs)
-                for slot, obs in observations.items()
-            }
-
-        return run_lockstep(envs, infer, seeds=seeds)
+        return run_lockstep(envs, _interpreted_infer(nets), seeds=seeds)
 
     def _device_wave_episode(
         self,

@@ -5,6 +5,32 @@ policy (any callable mapping an observation vector to a raw output
 vector), it runs episodes against an environment, converts raw network
 outputs into environment actions, and reports the fitness along with the
 step counts the hardware cost models need.
+
+Two drivers, one rule:
+
+* :func:`run_episode` steps one env with one policy — the scalar
+  oracle every other path is checked against;
+* :func:`run_lockstep` runs one episode per env in lock-step and is the
+  only multi-episode driver.  Each tick hands the live slots to
+  ``infer`` as one :class:`Tick` (slot indices plus a ``(k, n_in)``
+  observation block) and gets a ``(k, n_out)`` block back, then steps
+  all live episodes through an :class:`~repro.envs.batch.EnvBatch`.
+
+``EnvBatch`` protocol: ``reset(seeds) -> (n, obs_dim)`` starts every
+episode; ``step(slots, actions) -> (obs, rewards, done, truncated)``
+advances the listed live slots by one action each.  Kernel selection
+(:func:`~repro.envs.batch.env_batch`): a structure-of-arrays kernel
+when every env is an exact, unwrapped instance of an env that has one
+(today :class:`~repro.envs.batch.LunarLanderBatch`), otherwise
+:class:`~repro.envs.batch.ScalarEnvBatch`, which calls each env's own
+``step`` and is bit-identical by construction — wrappers, subclasses,
+physics overrides and envs that draw from their RNG mid-episode all
+take it.  Each kernel is a fast path paired with its env's scalar
+``_step``, which stays the oracle: differential tests assert the two
+agree in observation and reward bits, ``done`` and ``truncated``.
+Rewards, step counts and truncation accumulate with array ops under
+:func:`run_episode`'s exact rule, so a lock-step record is
+bit-identical to running the episode alone.
 """
 
 from __future__ import annotations
@@ -15,6 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.envs.base import Environment
+from repro.envs.batch import env_batch
 from repro.envs.spaces import Box, Discrete
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import span as _span
@@ -22,6 +49,7 @@ from repro.telemetry.spans import span as _span
 __all__ = [
     "PolicyFn",
     "InferFn",
+    "Tick",
     "EpisodeRecord",
     "decode_action",
     "decode_action_batch",
@@ -31,11 +59,33 @@ __all__ = [
 ]
 
 PolicyFn = Callable[[np.ndarray], np.ndarray]
-#: Lock-step inference: ``{slot: observation} -> {slot: raw output}``
-#: for every still-alive slot.  Both the INAX device's scatter/infer/
-#: gather step and :class:`repro.neat.vectorized.PopulationEvaluator`
+
+
+class Tick:
+    """One lock-step tick's live inputs: the still-alive slot indices
+    (ascending) and their ``(k, n_in)`` observation block, row ``i``
+    belonging to ``slots[i]``.  ``len()`` is the live count ``k``."""
+
+    __slots__ = ("slots", "obs")
+
+    def __init__(self, slots, obs):
+        self.slots = np.asarray(slots, dtype=np.intp)
+        self.obs = np.asarray(obs, dtype=np.float64)
+        if self.obs.shape[:1] != self.slots.shape:
+            raise ValueError(
+                f"{self.slots.shape[0]} slots but observations of shape "
+                f"{self.obs.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.slots.shape[0]
+
+
+#: Lock-step inference: a :class:`Tick` -> the ``(k, n_out)`` block of
+#: raw outputs, row ``i`` for ``tick.slots[i]``.  The INAX device's
+#: scatter/infer/gather step and the software population evaluators
 #: satisfy this signature.
-InferFn = Callable[[dict[int, np.ndarray]], dict[int, np.ndarray]]
+InferFn = Callable[[Tick], np.ndarray]
 
 
 @dataclass
@@ -98,7 +148,7 @@ def decode_action_batch(env: Environment, raw_outputs: np.ndarray) -> list:
                 f"policy produced {raw.shape[1]} outputs but {env.name} "
                 f"needs {space.n}"
             )
-        return [int(a) for a in np.argmax(raw[:, : space.n], axis=1)]
+        return np.argmax(raw[:, : space.n], axis=1).tolist()
     if isinstance(space, Box):
         dim = space.flat_dim
         if raw.shape[1] < dim:
@@ -170,61 +220,62 @@ def run_lockstep(
 ) -> list[EpisodeRecord]:
     """Run one episode per env, all in lock-step, and return the records.
 
-    This is the shared multi-episode driver behind every batched
-    evaluation path: each synchronized tick infers every still-alive
-    slot at once (``infer`` maps ``{slot: obs}`` to ``{slot: raw
-    output}``), decodes the whole wave's actions in one batch, then
-    steps each slot's environment.  Slots whose episodes terminate drop
-    out of subsequent ticks — the software analogue of the paper's
-    §V-B2 idle-PU effect — so the INAX backend's device waves and the
-    ``cpu-fast`` backend's population inference run through identical
-    bookkeeping.
+    This is the one multi-episode driver behind every batched
+    evaluation path.  Each synchronized tick infers every still-alive
+    slot at once (``infer`` maps a :class:`Tick` to a ``(k, n_out)``
+    block), decodes the whole wave's actions in one batch, then steps
+    every live episode through the :class:`~repro.envs.batch.EnvBatch`
+    that :func:`~repro.envs.batch.env_batch` picked for ``envs``.
+    Slots whose episodes terminate drop out of subsequent ticks — the
+    software analogue of the paper's §V-B2 idle-PU effect — so the INAX
+    backend's device waves and the software backends' population
+    inference run through identical bookkeeping.
 
-    Per-slot rewards accumulate in step order, and truncation follows
-    :func:`run_episode`'s rule exactly, so a lock-step episode's record
-    is bit-identical to running it alone.
+    Per-slot rewards accumulate in step order with float64 adds, and
+    truncation follows :func:`run_episode`'s rule exactly, so a
+    lock-step episode's record is bit-identical to running it alone.
     """
     if seeds is not None and len(seeds) != len(envs):
         raise ValueError("seeds, when given, must have one entry per env")
     n = len(envs)
-    observations: list[np.ndarray] = [
-        env.reset(seed=seeds[i] if seeds is not None else None)
-        for i, env in enumerate(envs)
-    ]
-    limits = [
-        max_steps if max_steps is not None else env.max_episode_steps
-        for env in envs
-    ]
-    totals = [0.0] * n
-    steps = [0] * n
-    truncated = [False] * n
-    rewards: list[list[float]] = [[] for _ in range(n)]
-    alive = list(range(n))
+    limits = np.array(
+        [
+            max_steps if max_steps is not None else env.max_episode_steps
+            for env in envs
+        ],
+        dtype=np.int64,
+    )
+    totals = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    truncated = np.zeros(n, dtype=bool)
+    reward_rows: list[np.ndarray] = []
+    alive = np.arange(n)
     ticks = 0
     inferences = 0
     with _span("rollout.lockstep", envs=n):
-        while alive:
+        if n:
+            batch = env_batch(envs)
+            observations = batch.reset(seeds)
+        while alive.size:
             ticks += 1
-            inferences += len(alive)
-            outputs = infer({slot: observations[slot] for slot in alive})
-            actions = decode_action_batch(
-                envs[alive[0]], np.stack([outputs[slot] for slot in alive])
+            inferences += alive.size
+            outputs = infer(Tick(alive, observations))
+            actions = decode_action_batch(envs[alive[0]], outputs)
+            observations, rewards, done, env_truncated = batch.step(
+                alive, actions
             )
-            survivors = []
-            for action, slot in zip(actions, alive):
-                obs, reward, done, info = envs[slot].step(action)
-                observations[slot] = obs
-                totals[slot] += reward
-                steps[slot] += 1
-                if keep_rewards:
-                    rewards[slot].append(reward)
-                if done:
-                    truncated[slot] = bool(info.get("truncated", False))
-                elif steps[slot] >= limits[slot]:
-                    truncated[slot] = True
-                else:
-                    survivors.append(slot)
-            alive = survivors
+            totals[alive] += rewards
+            steps[alive] += 1
+            if keep_rewards:
+                row = np.full(n, np.nan)
+                row[alive] = rewards
+                reward_rows.append(row)
+            capped = ~done & (steps[alive] >= limits[alive])
+            ended = done | capped
+            truncated[alive[ended]] = (env_truncated | capped)[ended]
+            survivors = ~ended
+            alive = alive[survivors]
+            observations = observations[survivors]
     registry = get_metrics()
     if registry is not None:
         registry.histogram("rollout.wave_size").observe(n)
@@ -232,16 +283,23 @@ def run_lockstep(
         registry.counter("rollout.inferences").inc(inferences)
         registry.counter("episode.count").inc(n)
         episode_steps = registry.histogram("episode.steps")
-        for count in steps:
+        for count in steps.tolist():
             episode_steps.observe(count)
+    reward_table = np.array(reward_rows) if keep_rewards else None
     return [
         EpisodeRecord(
-            total_reward=totals[i],
-            steps=steps[i],
-            truncated=truncated[i],
-            rewards=rewards[i],
+            total_reward=total,
+            steps=count,
+            truncated=cut,
+            rewards=(
+                reward_table[:count, i].tolist()
+                if reward_table is not None
+                else []
+            ),
         )
-        for i in range(n)
+        for i, (total, count, cut) in enumerate(
+            zip(totals.tolist(), steps.tolist(), truncated.tolist())
+        )
     ]
 
 

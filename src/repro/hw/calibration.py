@@ -66,7 +66,10 @@ CPU_SECONDS_PER_ACTIVATE_CALL: float = 2.0e-5
 CPU_SECONDS_PER_ENV_STEP: float = 4.0e-6
 
 #: per-environment env.step() costs: the two Box2D tasks pay a contact
-#: solver per step, classic control is a handful of NumPy ops
+#: solver per step, classic control is a handful of NumPy ops.  These
+#: model the paper's CPU running Gym, not this package's own envs: the
+#: batched LunarLander kernel (``repro.envs.batch``) makes the software
+#: loop faster but leaves the modeled platform seconds unchanged.
 ENV_STEP_SECONDS: dict[str, float] = {
     "cartpole": 3.0e-6,
     "acrobot": 8.0e-6,  # RK4 integration

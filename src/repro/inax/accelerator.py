@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from repro.inax.pipeline import PipelineConfig, pack_waves
 from repro.inax.pu import ProcessingUnit, PUCosts, _static_step_cycles
 from repro.inax.timing import CycleReport
 from repro.telemetry.spans import get_tracer
+
+if TYPE_CHECKING:
+    from repro.envs.rollout import Tick
 
 __all__ = [
     "INAXConfig",
@@ -201,16 +205,18 @@ class INAX:
             self._slot_active_cycles = [0] * len(configs)
             self._slot_steps = [0] * len(configs)
 
-    def step(self, inputs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    def step(self, tick: Tick) -> np.ndarray:
         """One synchronized inference across the wave's live slots.
 
-        ``inputs`` maps slot index -> observation vector; slots whose
-        episode already terminated are simply omitted and idle.  Returns
-        slot index -> output vector.
+        ``tick`` is a :class:`~repro.envs.rollout.Tick`: the live slot
+        indices and one observation row each; slots whose episode
+        already terminated are simply omitted and idle.  Returns the
+        ``(k, num_outputs)`` output block, row ``i`` for
+        ``tick.slots[i]``.
         """
         if not self._wave_slots:
             raise RuntimeError("no wave in progress; call begin_wave() first")
-        if not inputs:
+        if not len(tick):
             raise ValueError("step() needs at least one live slot")
         cfg = self.config
         injector = self.fault_injector
@@ -218,13 +224,14 @@ class INAX:
         self._wave_step += 1
         if injector is not None:
             injector.check_wedge(wave, step_index)
-        outputs: dict[int, np.ndarray] = {}
+        live = tick.slots.tolist()
+        outputs: list[np.ndarray] = []
         slowest = 0
         pe_active = 0
         pu_active = 0
         in_words = 0
         out_words = 0
-        for slot, x in inputs.items():
+        for slot, x in zip(live, tick.obs):
             if not 0 <= slot < len(self._wave_slots):
                 raise IndexError(f"slot {slot} outside the current wave")
             if injector is not None:
@@ -236,7 +243,7 @@ class INAX:
                 # a stalled PU holds the whole synchronized step hostage
                 # but burns no useful PE/PU activity
                 slowest = max(slowest, timing.cycles + stall)
-            outputs[slot] = out
+            outputs.append(out)
             slowest = max(slowest, timing.cycles)
             pe_active += timing.pe_active_cycles
             pu_active += timing.cycles
@@ -260,7 +267,7 @@ class INAX:
             step_wall = slowest + io + cfg.step_sync_cycles
         self._cycle += step_wall
         if self._tracing:
-            for slot in inputs:
+            for slot in live:
                 self._slot_last_active[slot] = self._cycle
         self.report.compute_cycles += step_wall
         self.report.io_cycles += io
@@ -271,10 +278,10 @@ class INAX:
         self.report.pu_active_cycles += pu_active
         self.report.pu_provisioned_cycles += cfg.num_pus * step_wall
         self.report.steps += 1
-        self.report.live_slot_steps += len(inputs)
+        self.report.live_slot_steps += len(live)
         self.report.slot_steps_provisioned += cfg.num_pus
         self._compute_since_setup += step_wall
-        return outputs
+        return np.stack(outputs)
 
     def end_wave(self) -> None:
         if not self._wave_slots:

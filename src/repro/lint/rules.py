@@ -13,6 +13,7 @@ DET005    no mutable default arguments
 TEL001    telemetry must stay guarded/off the hot path
 PAR001    registered backends must satisfy the shared interface
 NUM001    no bit-exact float comparisons in simulation code
+NUM002    no ops that round differently from the fast paths' NumPy twins
 RES001    no bare ``except:`` / silently-swallowed ``except Exception``
 ========  ==========================================================
 
@@ -38,6 +39,7 @@ __all__ = [
     "UnguardedTelemetryRule",
     "BackendParityRule",
     "FloatEqualityRule",
+    "TwinNumericsRule",
     "ExceptionHygieneRule",
 ]
 
@@ -584,3 +586,67 @@ class FloatEqualityRule(Rule):
                         "(math.isclose), or mark a deliberate "
                         "bit-identical check with `# repro: noqa[NUM001]`",
                     )
+
+
+def _in_package(module: ModuleInfo, packages: tuple[str, ...]) -> bool:
+    name = module.module
+    return name is None or any(
+        name == pkg or name.startswith(pkg + ".") for pkg in packages
+    )
+
+
+@register
+class TwinNumericsRule(Rule):
+    """Bit-identical fitness across backends holds only because each
+    fast path evaluates the same correctly-paired operations as its
+    scalar oracle.  In the network packages the vectorized paths use
+    NumPy's transcendentals, and ``math.tanh``/``math.exp``/``math.pow``
+    round differently from them on ordinary inputs.  In batch env
+    kernels, ``**`` is forbidden: a scalar ``x**2`` goes through C
+    ``pow``, which rounds differently from the ``x * x`` the scalar envs
+    use, so a kernel spells every product the way its oracle does."""
+
+    id: ClassVar[str] = "NUM002"
+    title: ClassVar[str] = "operation without a bit-equal twin"
+    contract: ClassVar[str] = (
+        "determinism: fast paths bit-equal to their scalar oracles"
+    )
+
+    #: packages whose networks must use NumPy transcendentals only
+    NETWORK_PACKAGES = ("repro.neat", "repro.compile", "repro.inax")
+    #: modules holding structure-of-arrays env kernels
+    KERNEL_MODULES = ("repro.envs.batch",)
+
+    _MATH = frozenset({"math.tanh", "math.exp", "math.pow"})
+
+    def applies_to(self, module: ModuleInfo) -> bool:
+        return _in_package(
+            module, self.NETWORK_PACKAGES + self.KERNEL_MODULES
+        )
+
+    def check(self, module: ModuleInfo) -> Iterator[RawFinding]:
+        network = _in_package(module, self.NETWORK_PACKAGES)
+        kernel = _in_package(module, self.KERNEL_MODULES)
+        for node in ast.walk(module.tree):
+            if network and isinstance(node, ast.Call):
+                name = module.dotted_name(node.func)
+                if name in self._MATH:
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        f"`{name}` rounds differently from the NumPy "
+                        "twin the vectorized paths use — call the "
+                        "`np.` function here too",
+                    )
+            elif (
+                kernel
+                and isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Pow)
+            ):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "`**` in a batch env kernel — write the product out "
+                    "as the scalar oracle does (C `pow` rounds "
+                    "differently from `x * x`)",
+                )

@@ -39,9 +39,14 @@ anyway under IEEE comparison.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.neat.network import FeedForwardNetwork
+
+if TYPE_CHECKING:
+    from repro.envs.rollout import Tick
 
 __all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
 
@@ -219,11 +224,12 @@ class PopulationEvaluator:
     individual.
 
     The interface mirrors the INAX device's scatter/infer/gather step:
-    :meth:`infer` takes ``{slot: observation}`` for the still-alive
-    subset and returns ``{slot: raw_output}``.  When episodes terminate
-    and the alive set shrinks past a threshold, the flat tensors are
-    rebuilt for the survivors so dead individuals stop costing inference
-    work (the software analogue of the paper's idle-PU effect).
+    :meth:`infer` takes a :class:`~repro.envs.rollout.Tick` of the
+    still-alive slots and returns their raw outputs, one row each.
+    When episodes terminate and the alive set shrinks past a threshold,
+    the flat tensors are rebuilt for the survivors so dead individuals
+    stop costing inference work (the software analogue of the paper's
+    idle-PU effect).
     """
 
     #: rebuild the flattened tensors once the alive set falls below this
@@ -315,8 +321,10 @@ class PopulationEvaluator:
                 _LayerPlan(sources, weights, biases, act_groups, slots)
             )
 
-        self._built = list(members)
-        self._position = {m: i for i, m in enumerate(members)}
+        self._built = np.asarray(members, dtype=np.intp)
+        #: member -> row in the built tensors, -1 when not built
+        self._position = np.full(len(self._plans), -1, dtype=np.intp)
+        self._position[self._built] = np.arange(len(members))
         self._total = total
         self._layers = layers
         self._input_index = (
@@ -335,22 +343,24 @@ class PopulationEvaluator:
         self.rebuilds += 1
 
     # ------------------------------------------------------------- infer
-    def infer(
-        self, observations: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """One lock-step tick: ``{slot: obs}`` -> ``{slot: raw output}``."""
-        alive = sorted(observations)
-        if alive != self._built:
-            if not all(m in self._position for m in alive):
+    def infer(self, tick: Tick) -> np.ndarray:
+        """One lock-step tick: a :class:`~repro.envs.rollout.Tick` ->
+        the ``(k, num_outputs)`` raw outputs of its live slots."""
+        alive = tick.slots
+        built = self._built
+        if alive.shape != built.shape or (alive != built).any():
+            if (
+                alive.size
+                and (alive.min() < 0 or alive.max() >= len(self._plans))
+            ) or (self._position[alive] < 0).any():
                 raise KeyError(
                     "infer() saw a slot outside the built population"
                 )
-            if len(alive) < self.REBUILD_FRACTION * len(self._built):
-                self._build(alive)
-        position = self._position
+            if len(alive) < self.REBUILD_FRACTION * len(built):
+                self._build(alive.tolist())
+        rows = self._position[alive]
         obs = self._obs
-        for member, observation in observations.items():
-            obs[position[member]] = observation
+        obs[rows] = tick.obs
         # _values persists across ticks: stale non-input slots are always
         # rewritten before being read (every built member's every node
         # recomputes each tick), and the trailing zero_slot is never
@@ -367,8 +377,7 @@ class PopulationEvaluator:
                 acc += products[:, term]
             pre = acc + layer.biases
             values[layer.slots] = _apply_activations(layer, pre)
-        out = values[self._output_index]
-        return {m: out[position[m]] for m in alive}
+        return values[self._output_index[rows]]
 
 
 def vectorize(net: FeedForwardNetwork) -> VectorizedNetwork:

@@ -13,7 +13,10 @@ it just skips the cold start.
 
 ``max_leases`` bounds how many backends exist at once (idle + active):
 the admission-controlled queue decides *how many jobs* may run, the
-pool decides *how much backend state* the process may hold.
+pool decides *how much backend state* the process may hold.  Within
+that bound every released backend stays idle for reuse, whatever its
+key; only when a lease needs a new build and the pool is full does the
+oldest idle backend (of any key) get closed to make room.
 """
 
 from __future__ import annotations
@@ -70,12 +73,12 @@ class BackendPool:
     the service only does the latter.
     """
 
-    def __init__(self, max_leases: int = 8, max_idle_per_key: int = 2) -> None:
+    def __init__(self, max_leases: int = 8) -> None:
         if max_leases < 1:
             raise ValueError("max_leases must be >= 1")
         self.max_leases = max_leases
-        self.max_idle_per_key = max_idle_per_key
-        self._idle: dict[tuple[Any, ...], list[EvaluationBackend]] = {}
+        #: idle ``(key, backend)`` pairs, oldest release first
+        self._idle: list[tuple[tuple[Any, ...], EvaluationBackend]] = []
         self._active = 0
         self._lock = threading.Lock()
         self.created = 0
@@ -112,16 +115,23 @@ class BackendPool:
         key = self.lease_key(
             env_name, backend_name, neat_config, episodes_per_genome, workers
         )
+        evicted: EvaluationBackend | None = None
         with self._lock:
             if self._active >= self.max_leases:
                 raise PoolExhausted(
                     f"all {self.max_leases} backend leases are taken"
                 )
             self._active += 1
-            idle = self._idle.get(key)
-            backend = idle.pop() if idle else None
-            if idle is not None and not idle:
-                del self._idle[key]
+            backend = self._take_idle(key)
+            if backend is None and self._active + len(self._idle) > (
+                self.max_leases
+            ):
+                # a new build would exceed the bound: close the oldest
+                # idle backend of any key to make room
+                _, evicted = self._idle.pop(0)
+                self.discarded += 1
+        if evicted is not None:
+            evicted.close()
         if backend is not None:
             backend.reset_run_state(base_seed=base_seed)
             with self._lock:
@@ -168,23 +178,28 @@ class BackendPool:
             )
         return backend_cls(env_name, neat_config, **kwargs)
 
+    def _take_idle(self, key: tuple[Any, ...]) -> EvaluationBackend | None:
+        """Pop the most recently released idle backend for ``key``."""
+        for index in range(len(self._idle) - 1, -1, -1):
+            if self._idle[index][0] == key:
+                return self._idle.pop(index)[1]
+        return None
+
     def _release(self, lease: BackendLease, discard: bool) -> None:
         with self._lock:
             self._active -= 1
-            if discard:
-                self.discarded += 1
-            else:
-                idle = self._idle.setdefault(lease.key, [])
-                if len(idle) < self.max_idle_per_key:
-                    idle.append(lease.backend)
-                    return
-                self.discarded += 1
+            if not discard:
+                # active + idle is unchanged by a release, so the
+                # max_leases bound still holds with this one kept
+                self._idle.append((lease.key, lease.backend))
+                return
+            self.discarded += 1
         lease.backend.close()
 
     # ------------------------------------------------------------- admin
     def stats(self) -> dict[str, int]:
         with self._lock:
-            idle = sum(len(v) for v in self._idle.values())
+            idle = len(self._idle)
             return {
                 "active": self._active,
                 "idle": idle,
@@ -197,8 +212,7 @@ class BackendPool:
     def close(self) -> None:
         """Close every idle backend (worker pools, devices)."""
         with self._lock:
-            idle_lists = list(self._idle.values())
-            self._idle = {}
-        for backends in idle_lists:
-            for backend in backends:
-                backend.close()
+            idle = [backend for _, backend in self._idle]
+            self._idle = []
+        for backend in idle:
+            backend.close()

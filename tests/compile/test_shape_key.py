@@ -27,7 +27,7 @@ from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.vectorized import VectorizedNetwork
 
-from tests.conftest import evolved_genome
+from tests.conftest import evolved_genome, infer_by_slot
 
 
 @st.composite
@@ -78,7 +78,7 @@ def test_weight_mutated_clone_shares_bucket_with_independent_outputs(
         0: rng.normal(size=config.num_inputs),
         1: rng.normal(size=config.num_inputs),
     }
-    results = evaluator.infer(observations)
+    results = infer_by_slot(evaluator.infer, observations)
     for slot, member in ((0, genome), (1, clone)):
         own = VectorizedNetwork(FeedForwardNetwork.create(member, config))
         assert np.array_equal(

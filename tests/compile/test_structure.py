@@ -22,7 +22,7 @@ from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.vectorized import VectorizedNetwork, _NetPlan
 
-from tests.conftest import evolved_genome
+from tests.conftest import evolved_genome, infer_by_slot
 
 
 def _cfg(num_inputs=4, num_outputs=2):
@@ -166,7 +166,7 @@ class TestFusedEvaluation:
         observations = {
             slot: rng.normal(size=4) for slot in range(len(members))
         }
-        results = evaluator.infer(observations)
+        results = infer_by_slot(evaluator.infer, observations)
         for slot, (_, genome) in enumerate(members):
             reference = VectorizedNetwork(
                 FeedForwardNetwork.create(genome, cfg)
@@ -188,7 +188,7 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(13)
         alive = [0, 3]  # well under REBUILD_FRACTION of 6
         observations = {slot: rng.normal(size=4) for slot in alive}
-        results = evaluator.infer(observations)
+        results = infer_by_slot(evaluator.infer, observations)
         assert evaluator.rebuilds == rebuilds + 1
         for slot in alive:
             reference = VectorizedNetwork(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.envs.rollout import Tick
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.innovation import InnovationTracker
@@ -57,3 +58,17 @@ small_ints = st.integers(min_value=1, max_value=8)
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def tick_of(observations: dict[int, np.ndarray]) -> Tick:
+    """The lock-step :class:`Tick` carrying ``{slot: obs}``, slots
+    ascending."""
+    slots = sorted(observations)
+    rows = np.array([observations[s] for s in slots]).reshape(len(slots), -1)
+    return Tick(slots, rows)
+
+
+def infer_by_slot(infer, observations: dict[int, np.ndarray]) -> dict:
+    """Run one tick of ``infer`` and key its output rows by slot."""
+    tick = tick_of(observations)
+    return dict(zip(tick.slots.tolist(), infer(tick)))

@@ -137,7 +137,7 @@ class TestTruncationReporting:
             _CountdownEnv(terminate_at=3),
         ]
         records = run_lockstep(
-            envs, lambda obs: {m: np.array([1.0, 0.0]) for m in obs}
+            envs, lambda tick: np.tile([1.0, 0.0], (len(tick), 1))
         )
         assert [r.steps for r in records] == [10, 10, 3]
         assert [r.truncated for r in records] == [False, True, False]
@@ -175,7 +175,7 @@ class TestRunLockstep:
         envs = [CartPole() for _ in seeds]
         records = run_lockstep(
             envs,
-            lambda obs: {m: np.zeros(2) for m in obs},
+            lambda tick: np.zeros((len(tick), 2)),
             seeds=seeds,
             keep_rewards=True,
         )
@@ -191,7 +191,7 @@ class TestRunLockstep:
     def test_mixed_lengths_all_complete(self):
         envs = [_CountdownEnv(terminate_at=t) for t in (2, 7, 4)]
         records = run_lockstep(
-            envs, lambda obs: {m: np.array([1.0, 0.0]) for m in obs}
+            envs, lambda tick: np.tile([1.0, 0.0], (len(tick), 1))
         )
         assert [r.steps for r in records] == [2, 7, 4]
         assert [r.total_reward for r in records] == [2.0, 7.0, 4.0]
@@ -200,12 +200,12 @@ class TestRunLockstep:
         with pytest.raises(ValueError, match="one entry per env"):
             run_lockstep(
                 [CartPole(), CartPole()],
-                lambda obs: {m: np.zeros(2) for m in obs},
+                lambda tick: np.zeros((len(tick), 2)),
                 seeds=[1],
             )
 
     def test_no_envs(self):
-        assert run_lockstep([], lambda obs: {}) == []
+        assert run_lockstep([], lambda tick: np.zeros((0, 2))) == []
 
 
 class TestEvaluatePolicy:

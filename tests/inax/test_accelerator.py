@@ -11,6 +11,7 @@ from repro.inax.accelerator import (
     waves_required,
 )
 from repro.inax.synthetic import synthetic_population
+from tests.conftest import infer_by_slot, tick_of
 
 
 def _drive_device(config, pop, lengths):
@@ -31,7 +32,7 @@ def _drive_device(config, pop, lengths):
             }
             if not live:
                 break
-            device.step(live)
+            device.step(tick_of(live))
             t += 1
         device.end_wave()
     return device.report
@@ -66,20 +67,20 @@ class TestDevice:
     def test_step_without_wave_rejected(self):
         device = INAX(num_pus=2, num_pes_per_pu=1)
         with pytest.raises(RuntimeError):
-            device.step({0: np.zeros(8)})
+            device.step(tick_of({0: np.zeros(8)}))
 
     def test_step_bad_slot_rejected(self):
         pop = synthetic_population(num_individuals=1, seed=0)
         device = INAX(num_pus=2, num_pes_per_pu=1)
         device.begin_wave(pop)
         with pytest.raises(IndexError):
-            device.step({1: np.zeros(8)})
+            device.step(tick_of({1: np.zeros(8)}))
 
     def test_outputs_per_slot(self):
         pop = synthetic_population(num_individuals=3, seed=1)
         device = INAX(num_pus=4, num_pes_per_pu=2)
         device.begin_wave(pop)
-        outs = device.step({i: np.zeros(8) for i in range(3)})
+        outs = infer_by_slot(device.step, {i: np.zeros(8) for i in range(3)})
         assert set(outs) == {0, 1, 2}
         for out in outs.values():
             assert out.shape == (4,)
@@ -223,7 +224,7 @@ class TestControllerProtocol:
         device = INAX(num_pus=2, num_pes_per_pu=1)
         for _ in range(3):  # repeated waves are fine when paired
             device.begin_wave(pop)
-            device.step({0: np.zeros(8), 1: np.zeros(8)})
+            device.step(tick_of({0: np.zeros(8), 1: np.zeros(8)}))
             device.end_wave()
         assert device.report.individuals == 6
 
@@ -258,7 +259,7 @@ class TestIOOverlap:
         for device in (a, b):
             device.begin_wave(pop)
         x = {0: np.ones(8), 1: np.zeros(8)}
-        out_a = a.step(x)
-        out_b = b.step(x)
+        out_a = infer_by_slot(a.step, x)
+        out_b = infer_by_slot(b.step, x)
         for slot in out_a:
             assert np.array_equal(out_a[slot], out_b[slot])

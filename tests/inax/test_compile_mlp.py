@@ -6,6 +6,7 @@ import pytest
 from repro.inax.compiler import compile_mlp
 from repro.inax.pu import ProcessingUnit
 from repro.rl.nn import MLP
+from tests.conftest import infer_by_slot
 
 
 def _mlp(sizes=(3, 5, 2), seed=0):
@@ -73,7 +74,7 @@ class TestRegularWorkloadOnDevice:
         device = INAX(INAXConfig(num_pus=4, num_pes_per_pu=2))
         device.begin_wave(configs)
         x = np.ones(3)
-        outputs = device.step({i: x for i in range(4)})
+        outputs = infer_by_slot(device.step, {i: x for i in range(4)})
         device.end_wave()
         for i, mlp in enumerate(candidates):
             assert np.allclose(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.synthetic import synthetic_population
+from tests.conftest import infer_by_slot, tick_of
 
 _POP = synthetic_population(num_individuals=4, num_hidden=6, seed=99)
 _NUM_PUS = 3
@@ -46,8 +47,8 @@ class DeviceProtocol(RuleBasedStateMachine):
             ),
             label="live slots",
         )
-        outputs = self.device.step(
-            {slot: np.zeros(8) for slot in live}
+        outputs = infer_by_slot(
+            self.device.step, {slot: np.zeros(8) for slot in live}
         )
         assert set(outputs) == live
         for out in outputs.values():
@@ -75,7 +76,7 @@ class DeviceProtocol(RuleBasedStateMachine):
     @rule()
     def step_without_wave_rejected(self):
         try:
-            self.device.step({0: np.zeros(8)})
+            self.device.step(tick_of({0: np.zeros(8)}))
         except RuntimeError:
             pass
         else:  # pragma: no cover

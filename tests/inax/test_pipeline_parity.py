@@ -19,7 +19,7 @@ from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.resilience.faults import FaultPlan
 
-from tests.conftest import evolved_genome
+from tests.conftest import evolved_genome, tick_of
 
 POLICIES = [
     PipelineConfig(schedule=schedule, prefetch=prefetch)
@@ -88,7 +88,7 @@ def _drive_pipelined(config, pop, lengths, pipeline, costs=None):
             }
             if not live:
                 break
-            device.step(live)
+            device.step(tick_of(live))
             t += 1
         device.end_wave()
     return device.report
@@ -200,7 +200,9 @@ class TestAbortedWaveParity:
         aborted.begin_wave(pop)
         for _ in range(k):
             aborted.step(
-                {i: np.zeros(pop[i].num_inputs) for i in range(len(pop))}
+                tick_of(
+                    {i: np.zeros(pop[i].num_inputs) for i in range(len(pop))}
+                )
             )
         aborted.abort_wave()
 
@@ -219,7 +221,10 @@ class TestAbortedWaveParity:
         device.begin_wave(first)
         for _ in range(k):
             device.step(
-                {i: np.zeros(first[i].num_inputs) for i in range(len(first))}
+                tick_of(
+                    {i: np.zeros(first[i].num_inputs)
+                     for i in range(len(first))}
+                )
             )
         device.abort_wave()
         # double-abort during error handling must not zero the window

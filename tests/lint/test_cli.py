@@ -80,7 +80,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "DET001", "DET002", "DET003", "DET004", "DET005",
-        "TEL001", "PAR001", "NUM001",
+        "TEL001", "PAR001", "NUM001", "NUM002",
     ):
         assert rule_id in out
     assert "contract:" in out

@@ -29,6 +29,7 @@ FIXTURE_RULES = {
     "tel001_unguarded_telemetry.py": "TEL001",
     "par001_backend_parity.py": "PAR001",
     "num001_float_equality.py": "NUM001",
+    "num002_twin_numerics.py": "NUM002",
     "res001_exception_hygiene.py": "RES001",
 }
 
@@ -122,3 +123,29 @@ def test_num001_integer_comparisons_are_clean(tmp_path):
 
     code = "def f(n):\n    return n == 3 or n != 0\n"
     assert lint_source(tmp_path, code).findings == []
+
+
+def _lint_module(tmp_path, dotted: str, code: str):
+    target = tmp_path.joinpath(*dotted.split(".")).with_suffix(".py")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(code)
+    return [f.rule for f in lint_paths([target]).findings]
+
+
+def test_num002_network_rule_is_scoped_to_network_packages(tmp_path):
+    code = "import math\n\ndef f(x):\n    return math.tanh(x)\n"
+    for package in ("neat", "compile", "inax"):
+        assert _lint_module(tmp_path, f"repro.{package}.act", code) == [
+            "NUM002"
+        ]
+    # the RL baselines and the env oracles may use math freely
+    assert _lint_module(tmp_path, "repro.rl.act", code) == []
+    assert _lint_module(tmp_path, "repro.envs.act", code) == []
+
+
+def test_num002_pow_rule_is_scoped_to_batch_kernels(tmp_path):
+    code = "def f(x):\n    return x**2\n"
+    assert _lint_module(tmp_path, "repro.envs.batch", code) == ["NUM002"]
+    # a scalar oracle keeps its own arithmetic (and its env stays on
+    # the scalar batch)
+    assert _lint_module(tmp_path, "repro.envs.cartpole", code) == []

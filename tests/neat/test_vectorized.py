@@ -14,7 +14,7 @@ from repro.neat.vectorized import (
     vectorize,
 )
 
-from tests.conftest import evolved_genome
+from tests.conftest import evolved_genome, infer_by_slot
 from tests.neat.test_network import _genome_from_edges
 
 
@@ -121,7 +121,7 @@ class TestBitwiseParity:
         alive = list(range(12))
         while alive:
             obs = {m: rng.standard_normal(4) for m in alive}
-            outputs = evaluator.infer(obs)
+            outputs = infer_by_slot(evaluator.infer, obs)
             assert sorted(outputs) == alive
             for m in alive:
                 expected = nets[m].activate(obs[m])

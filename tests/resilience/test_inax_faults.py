@@ -7,6 +7,7 @@ from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.synthetic import synthetic_population
 from repro.resilience.faults import DeviceFault, FaultPlan
 from repro.resilience.injectors import DeviceFaultInjector
+from tests.conftest import infer_by_slot, tick_of
 
 
 NUM_PUS = 4
@@ -31,8 +32,8 @@ def _run_wave(device, configs, steps=STEPS):
     device.begin_wave(configs)
     trace = []
     for step in range(steps):
-        outputs = device.step(
-            _inputs(configs[0].num_inputs, len(configs), step)
+        outputs = infer_by_slot(
+            device.step, _inputs(configs[0].num_inputs, len(configs), step)
         )
         trace.append({k: v.tobytes() for k, v in sorted(outputs.items())})
     device.end_wave()
@@ -59,7 +60,7 @@ class TestWeightBitflip:
             assert device.pus[slot]._config is not pop[slot]
         # ...and the shared compiled objects are untouched
         assert [cfg.layers for cfg in pop] == baseline
-        device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+        device.step(tick_of(_inputs(pop[0].num_inputs, len(pop), 0)))
         device.end_wave()
         kinds = [e.kind for e in plan.events]
         assert kinds.count("inax.weight_bitflip") == len(pop)
@@ -82,7 +83,7 @@ class TestWedge:
         device = _device(plan)
         device.begin_wave(pop)
         with pytest.raises(DeviceFault, match="inax.wedge"):
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(tick_of(_inputs(pop[0].num_inputs, len(pop), 0)))
         # the wedged wave is discarded; the device accepts a fresh wave
         device.abort_wave()
         device.abort_wave()  # double abort is a no-op
@@ -98,7 +99,7 @@ class TestWedge:
         device = _device(plan)
         device.begin_wave(pop)
         with pytest.raises(DeviceFault):
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(tick_of(_inputs(pop[0].num_inputs, len(pop), 0)))
         assert plan.events[0].site == "wave=0|step=0"
 
 
@@ -168,7 +169,7 @@ class TestDeterminism:
         device = _device(plan)
         for _ in range(2):
             device.begin_wave(pop)
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(tick_of(_inputs(pop[0].num_inputs, len(pop), 0)))
             device.end_wave()
         waves = {e.site.split("|")[0] for e in plan.events}
         assert waves == {"wave=0", "wave=1"}

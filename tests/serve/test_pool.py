@@ -70,6 +70,43 @@ class TestLeasing:
         assert pool.stats()["idle"] == 1
 
 
+class TestIdleRetention:
+    def test_simultaneous_releases_are_all_kept(self):
+        """Regression: the pool used to close every same-key backend
+        beyond two idle ones, so a burst of finishing jobs forced the
+        next jobs to rebuild."""
+        n = 4
+        pool = BackendPool(max_leases=2 * n)
+        config = effective_neat_config("cartpole", CONFIG)
+        leases = [pool.lease("cartpole", "cpu", config) for _ in range(n)]
+        first = {id(lease.backend) for lease in leases}
+        for lease in leases:
+            lease.release()
+        assert pool.stats()["discarded"] == 0
+        assert pool.stats()["idle"] == n
+        again = [pool.lease("cartpole", "cpu", config) for _ in range(n)]
+        assert {id(lease.backend) for lease in again} == first
+        assert pool.stats()["created"] == n
+        assert pool.stats()["reused"] == n
+
+    def test_full_pool_evicts_oldest_idle_for_a_new_key(self):
+        pool = BackendPool(max_leases=2)
+        config = effective_neat_config("cartpole", CONFIG)
+        older = pool.lease("cartpole", "cpu", config)
+        newer = pool.lease("cartpole", "cpu-fast", config)
+        older.release()
+        newer.release()
+        third = pool.lease("cartpole", "cpu-compiled", config)
+        stats = pool.stats()
+        assert stats["discarded"] == 1
+        assert stats["idle"] + stats["active"] == 2
+        # the most recently released backend survived the eviction
+        again = pool.lease("cartpole", "cpu-fast", config)
+        assert again.backend is newer.backend
+        third.release()
+        again.release()
+
+
 class TestResetRunState:
     def test_reused_backend_starts_clean(self):
         pool = BackendPool(max_leases=2)

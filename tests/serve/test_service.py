@@ -128,9 +128,11 @@ class TestCancel:
         async def scenario():
             service = EvolutionService(max_concurrent=1, data_dir=tmp_path)
             await service.start()
+            # this seeded MountainCar run stays at -200 for all 50
+            # generations, so it cannot finish before the cancel lands
             job_id = await service.submit(
-                JobSpec(env="cartpole", population_size=8, generations=50,
-                        seed=2)
+                JobSpec(env="mountain_car", population_size=8,
+                        generations=50, seed=2)
             )
             # wait until it is genuinely mid-run (first generation done)
             async for event in service.stream(job_id):

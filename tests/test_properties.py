@@ -27,7 +27,7 @@ from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population
 
-from tests.conftest import evolved_genome
+from tests.conftest import evolved_genome, infer_by_slot
 from tests.neat.test_genome import _has_cycle
 
 
@@ -60,7 +60,7 @@ def test_device_wave_matches_software(setup, num_pes):
     device.begin_wave(hw_configs)
     for _ in range(3):
         x = rng.standard_normal(config.num_inputs)
-        outputs = device.step({i: x for i in range(len(genomes))})
+        outputs = infer_by_slot(device.step, {i: x for i in range(len(genomes))})
         for i, net in enumerate(nets):
             assert np.array_equal(outputs[i], net.activate(x))
     device.end_wave()
