@@ -1,6 +1,6 @@
-"""Fast software path — speedup of ``cpu-fast`` over the interpreted path.
+"""Fast software path — speedup of ``cpu-compiled`` over interpreted.
 
-The ``cpu-fast`` backend exists so software-only experimentation (and
+The ``cpu-compiled`` backend exists so software-only experimentation (and
 the Fig 9/10 functional runs) doesn't pay the interpreted per-node
 forward pass the paper profiles in Fig 1(b).  This bench measures one
 full-generation ``evaluate()`` of an identical CartPole population on
@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import write_output
-from repro.core.backends import CPUBackend, FastCPUBackend
+from repro.core.backends import CompiledCPUBackend, CPUBackend
 from repro.core.results import format_table
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
@@ -35,7 +35,7 @@ BASE_SEED = 11
 
 def _midrun_population(config: NEATConfig):
     """Evolve CartPole briefly and return the live population."""
-    boot = FastCPUBackend(
+    boot = CompiledCPUBackend(
         "cartpole", config, episodes_per_genome=1, base_seed=3
     )
     population = Population(config, seed=3)
@@ -66,7 +66,7 @@ def test_fastpath_speedup():
     cpu = CPUBackend(
         "cartpole", config, episodes_per_genome=EPISODES, base_seed=BASE_SEED
     )
-    fast = FastCPUBackend(
+    fast = CompiledCPUBackend(
         "cartpole", config, episodes_per_genome=EPISODES, base_seed=BASE_SEED
     )
     slow_pop = [g.copy() for g in genomes]
@@ -85,18 +85,21 @@ def test_fastpath_speedup():
     rows = [
         ["interpreted (cpu)", f"{slow_seconds * 1e3:.1f}",
          f"{slow_seconds / steps * 1e6:.1f}", "1.0x"],
-        ["vectorized (cpu-fast)", f"{fast_seconds * 1e3:.1f}",
+        ["compiled (cpu-compiled)", f"{fast_seconds * 1e3:.1f}",
          f"{fast_seconds / steps * 1e6:.1f}", f"{speedup:.2f}x"],
     ]
     table = format_table(
         ["software path", "generation (ms)", "per env step (us)", "speedup"],
         rows,
         title=(
-            f"cpu-fast speedup: {len(genomes)} mid-run CartPole genomes x "
+            f"cpu-compiled speedup: {len(genomes)} mid-run CartPole "
+            f"genomes x "
             f"{EPISODES} episodes, {steps} env steps"
         ),
     )
     write_output("fastpath_speedup", table)
     fast.close()
 
-    assert speedup >= 2.0, f"cpu-fast only {speedup:.2f}x over interpreted"
+    assert speedup >= 2.0, (
+        f"cpu-compiled only {speedup:.2f}x over interpreted"
+    )

@@ -1,4 +1,4 @@
-"""Guard: the ``--health`` monitor costs < 2% on the cpu-fast hot path.
+"""Guard: the ``--health`` monitor costs < 2% on the cpu-compiled hot path.
 
 The watchtower contract (``src/repro/obs``) is that streaming health
 evaluation is a per-*generation* cost — one sample build plus a pass
@@ -7,7 +7,7 @@ This bench keeps that honest the same way the telemetry guard does:
 
 1. **micro**: measure the per-generation cost of ``build_sample`` +
    detector evaluation directly on a realistic sample stream;
-2. **macro**: run a capped cpu-fast CartPole evolution with health
+2. **macro**: run a capped cpu-compiled CartPole evolution with health
    monitoring off, count the generations the monitored run crosses,
    and bound estimated monitor cost against the bare run's wall time.
 
@@ -40,7 +40,7 @@ MAX_HEALTH_OVERHEAD = 0.02  # same bar as the telemetry guard
 def _run(monitor: HealthMonitor | None = None):
     platform = E3(
         "cartpole",
-        backend="cpu-fast",
+        backend="cpu-compiled",
         neat_config=NEATConfig(population_size=POPULATION),
         seed=11,
         health=monitor,
@@ -60,8 +60,8 @@ def _stats(generation: int) -> GenerationStats:
         mean_nodes=4.0,
         mean_connections=6.0,
         population_size=POPULATION,
-        extras={"quarantined": 0.0, "cache_hits": 100.0 * generation,
-                "cache_misses": 10.0},
+        extras={"quarantined": 0.0, "compile_hits": 100.0 * generation,
+                "compile_misses": 10.0},
     )
 
 
@@ -112,7 +112,7 @@ def test_health_monitor_overhead_under_two_percent():
         "health_overhead",
         "\n".join(
             [
-                "health-monitor overhead guard (cpu-fast cartpole, "
+                "health-monitor overhead guard (cpu-compiled cartpole, "
                 f"pop {POPULATION}, {GENERATIONS} gens)",
                 f"bare run:            {bare_seconds * 1e3:8.1f} ms",
                 f"monitored gens:      {generation_count:8d}",

@@ -24,7 +24,7 @@ MAX_CONCURRENT = 4
 def _spec(seed: int) -> JobSpec:
     return JobSpec(
         env="cartpole",
-        backend="cpu-fast",
+        backend="cpu-compiled",
         population_size=8,
         generations=1,
         seed=seed,

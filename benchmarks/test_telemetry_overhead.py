@@ -1,4 +1,4 @@
-"""Guard: disabled telemetry costs < 2% on the cpu-fast hot path.
+"""Guard: disabled telemetry costs < 2% on the cpu-compiled hot path.
 
 The instrumentation contract (``src/repro/telemetry``) is that every
 disabled call site is one global ``None`` check — ``span()`` returns a
@@ -7,7 +7,7 @@ keeps that honest two ways:
 
 1. **micro**: measure the per-call cost of the disabled ``span()``
    helper and the ``get_metrics()`` guard directly;
-2. **macro**: run a capped cpu-fast CartPole evolution with telemetry
+2. **macro**: run a capped cpu-compiled CartPole evolution with telemetry
    off, count how many instrumented regions the same run *would* have
    recorded (by re-running with a tracer installed), and bound the
    estimated total instrumentation cost against the run's wall time.
@@ -36,7 +36,7 @@ MAX_DISABLED_OVERHEAD = 0.02  # the ISSUE's < 2% acceptance bound
 def _run(telemetry: TelemetrySession | None = None):
     platform = E3(
         "cartpole",
-        backend="cpu-fast",
+        backend="cpu-compiled",
         neat_config=NEATConfig(population_size=POPULATION),
         seed=11,
         telemetry=telemetry,
@@ -79,7 +79,7 @@ def test_disabled_telemetry_overhead_under_two_percent():
         "telemetry_overhead",
         "\n".join(
             [
-                "disabled-telemetry overhead guard (cpu-fast cartpole, "
+                "disabled-telemetry overhead guard (cpu-compiled cartpole, "
                 f"pop {POPULATION}, {GENERATIONS} gens)",
                 f"bare run:            {bare_seconds * 1e3:8.1f} ms",
                 f"instrumented regions:{region_count:8d} spans",

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.backends import BACKENDS
 from repro.core.results import format_seconds, format_table
 
 __all__ = ["main", "build_parser"]
@@ -49,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run NEAT on one environment")
     run.add_argument("--env", required=True, help="environment name")
     run.add_argument(
-        "--backend", default="inax",
-        choices=("cpu", "cpu-fast", "cpu-compiled", "gpu", "inax", "fabric"),
+        "--backend", default="inax", choices=sorted(BACKENDS),
         help="where the evaluate phase runs",
     )
     run.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes for the cpu-fast backend (0 = in-process)",
+        help="worker processes for the cpu-compiled backend "
+        "(0 = in-process)",
     )
     _add_fabric_args(run)
     run.add_argument("--population", type=int, default=100)
@@ -82,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--checkpoint", required=True)
     resume.add_argument("--env", required=True, help="environment name")
     resume.add_argument(
-        "--backend", default="inax",
-        choices=("cpu", "cpu-fast", "cpu-compiled", "gpu", "inax", "fabric"),
+        "--backend", default="inax", choices=sorted(BACKENDS)
     )
     resume.add_argument(
         "--devices", type=int, default=1,
@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes for the cpu-fast backend (0 = in-process)",
+        help="worker processes for the cpu-compiled backend "
+        "(0 = in-process)",
     )
     resume.add_argument("--generations", type=int, default=20)
     resume.add_argument("--seed", type=int, default=0)
@@ -321,13 +322,13 @@ def _add_resilience_args(command) -> None:
         "file written by FaultPlan.to_dict (see docs/resilience.md)",
     )
     command.add_argument(
-        "--fallback", default=None, choices=("cpu-fast", "cpu"),
+        "--fallback", default=None, choices=("cpu-compiled", "cpu"),
         help="inax backend only: degrade faulted/oversized waves to "
         "this bit-identical software path instead of aborting",
     )
     command.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="cpu-fast backend with --workers: watchdog timeout per "
+        help="cpu-compiled backend with --workers: watchdog timeout per "
         "shard attempt before the supervisor retries it",
     )
     command.add_argument(
@@ -490,26 +491,36 @@ def _print_resilience_summary(backend) -> None:
 
 
 def _print_cache_summary(backend) -> None:
-    """Surface the structural-cache statistics in the run summary."""
-    for label, getter in (
-        ("decode cache", "cache_info"),
-        ("compile cache", "compile_cache_info"),
-    ):
-        if not hasattr(backend, getter):
-            continue
-        info = getattr(backend, getter)()
-        lookups = info["hits"] + info["misses"]
-        if not lookups and not info["size"] and not info.get("warmed"):
-            continue  # backend never used this cache (e.g. cpu-compiled's
-            # decode LRU); don't print a dead row
-        rate = 100.0 * info["hits"] / lookups if lookups else 0.0
-        warmed = (
-            f", {info['warmed']} warmed" if info.get("warmed") else ""
-        )
+    """Surface the compile-cache statistics in the run summary."""
+    if not hasattr(backend, "compile_cache_info"):
+        return
+    info = backend.compile_cache_info()
+    lookups = info["hits"] + info["misses"]
+    rate = 100.0 * info["hits"] / lookups if lookups else 0.0
+    warmed = f", {info['warmed']} warmed" if info["warmed"] else ""
+    print(
+        f"compile cache: {info['hits']} hits / {info['misses']} misses "
+        f"({rate:.1f}% hit rate), {info['size']} entries{warmed}"
+    )
+
+
+def _resolve_backend(args) -> bool:
+    """Apply the ``--devices`` rule to ``args.backend`` in place.
+
+    ``inax`` on several devices runs as ``fabric``; a software backend
+    on several devices prints an error and returns False.
+    """
+    from repro.core.backends import resolve_backend_name
+
+    try:
+        args.backend = resolve_backend_name(args.backend, args.devices)
+    except ValueError:
         print(
-            f"{label}: {info['hits']} hits / {info['misses']} misses "
-            f"({rate:.1f}% hit rate), {info['size']} entries{warmed}"
+            "error: --devices needs the fabric backend, not "
+            f"{args.backend!r}"
         )
+        return False
+    return True
 
 
 # ---------------------------------------------------------------- commands
@@ -547,13 +558,7 @@ def _cmd_run(args) -> int:
     from repro.neat.config import NEATConfig
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    backend = args.backend
-    if args.devices > 1 and backend == "inax":
-        # a farm of one kind of device is still the inax path — just
-        # the distributed flavour of it
-        backend = args.backend = "fabric"
-    if args.devices > 1 and backend != "fabric":
-        print(f"error: --devices needs the fabric backend, not {backend!r}")
+    if not _resolve_backend(args):
         return 2
     if args.islands > 1:
         return _cmd_run_islands(args)
@@ -561,7 +566,7 @@ def _cmd_run(args) -> int:
     monitor = _health_monitor(args)
     platform = E3(
         args.env,
-        backend=backend,
+        backend=args.backend,
         neat_config=NEATConfig(population_size=args.population),
         seed=args.seed,
         workers=args.workers,
@@ -675,16 +680,13 @@ def _cmd_run_islands(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.core.backends import BACKENDS, FastCPUBackend
+    from repro.core.backends import build_backend
     from repro.envs.registry import spec
     from repro.neat.checkpoint import load_checkpoint, save_checkpoint
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    if args.devices > 1 and args.backend == "inax":
-        args.backend = "fabric"
-    if args.backend == "fabric":
-        import repro.fabric.backend  # noqa: F401  (registers the backend)
-
+    if not _resolve_backend(args):
+        return 2
     population = load_checkpoint(args.checkpoint)
     env_spec = spec(args.env)
     env = env_spec.make()
@@ -700,23 +702,16 @@ def _cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 2
-    backend_cls = BACKENDS[args.backend]
-    kwargs = {"base_seed": args.seed}
-    kwargs.update(_pipeline_kwargs(args))
-    resilience = _resilience_kwargs(args)
-    if "fault_plan" in resilience:
-        kwargs["fault_plan"] = resilience["fault_plan"]
-    if issubclass(backend_cls, FastCPUBackend):
-        kwargs["workers"] = args.workers
-        if "supervisor" in resilience:
-            kwargs["supervisor"] = resilience["supervisor"]
-    if args.backend in ("inax", "fabric") and "fallback" in resilience:
-        kwargs["fallback"] = resilience["fallback"]
-    if args.backend == "fabric":
-        kwargs["devices"] = args.devices
-        if "supervisor" in resilience:
-            kwargs["supervisor"] = resilience["supervisor"]
-    backend = backend_cls(args.env, population.config, **kwargs)
+    backend = build_backend(
+        args.backend,
+        args.env,
+        population.config,
+        base_seed=args.seed,
+        workers=args.workers,
+        devices=args.devices,
+        **_pipeline_kwargs(args),
+        **_resilience_kwargs(args),
+    )
     # the checkpoint restores genomes but no cache state; warming the
     # structural caches from the restored population keeps post-resume
     # hit rates (and benchmarks) honest instead of silently re-decoding

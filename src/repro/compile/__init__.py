@@ -1,11 +1,11 @@
 """Structural-batching genome compiler for the software path.
 
-The software backends pay a per-genome *decode* cost every generation:
-``CreateNet`` pruning + ASAP layering, the ``_NetPlan`` lowering, and
-the HW-config compilation.  The ``cpu-fast`` decode cache keys on
+A software backend that decodes genome by genome pays a *decode* cost
+every generation: ``CreateNet`` pruning + ASAP layering, the ``_NetPlan``
+lowering, and the HW-config compilation.  A decode cache keyed on
 :meth:`~repro.neat.genome.Genome.structural_hash`, which includes
-weights — so only unchanged elites ever hit, and the weight-mutated
-bulk of every generation re-decodes from scratch even though its
+weights, would hit only unchanged elites, and the weight-mutated bulk
+of every generation would re-decode from scratch even though its
 *topology* is identical to its parents'.
 
 This package exploits that: genomes bucket by
@@ -16,7 +16,7 @@ fill recipes), and a generation's members become stacked weight/bias
 tensors over that shared plan — so an entire bucket advances one
 lock-step env step in a single batched matmul instead of per-genome
 graph walks, and the cross-generation :class:`CompileCache` keeps
-hitting where the decode cache misses.
+hitting where a weighted-hash cache would miss.
 
 Pieces:
 
@@ -30,7 +30,7 @@ Pieces:
 * :class:`CompiledPopulationEvaluator` — lock-step inference over a
   mixed-shape generation, delegating the per-tick work to the shared
   :class:`~repro.neat.vectorized.PopulationEvaluator` engine via
-  per-member parameter views (bit-identical to ``cpu``/``cpu-fast``).
+  per-member parameter views (bit-identical to ``cpu``).
 
 The ``cpu-compiled`` backend in :mod:`repro.core.backends` wires this
 into the evaluation loop.

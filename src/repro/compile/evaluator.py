@@ -12,7 +12,7 @@ shapes and the alive set shrinks as episodes terminate,
 into those stacks to the proven
 :class:`~repro.neat.vectorized.PopulationEvaluator` engine — same
 flattened tensors, same term-by-term accumulation order, so fitness is
-bit-identical to the ``cpu``/``cpu-fast`` paths by construction.
+bit-identical to the interpreted ``cpu`` path by construction.
 """
 
 from __future__ import annotations
@@ -43,36 +43,10 @@ class CompiledBucket:
             raise ValueError("a bucket needs at least one genome")
         self.structure = structure
         self.genomes = list(genomes)
-        plan = structure.plan
-        size = len(genomes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for base in plan.layers:
-            self.weights.append(
-                np.zeros((size,) + base.weights.shape)
-            )
-            self.biases.append(np.empty((size,) + base.biases.shape))
-        # parameters fill straight into the stack rows; duplicate
-        # members (episode slots of one genome) fill once and copy —
-        # the fill recipe walk is the per-member cost here
-        levels = range(len(plan.layers))
-        filled: dict[int, int] = {}
-        for member, genome in enumerate(genomes):
-            first = filled.get(id(genome))
-            if first is None:
-                structure.fill_parameters_into(
-                    genome,
-                    [
-                        (self.weights[level][member],
-                         self.biases[level][member])
-                        for level in levels
-                    ],
-                )
-                filled[id(genome)] = member
-            else:
-                for level in levels:
-                    self.weights[level][member] = self.weights[level][first]
-                    self.biases[level][member] = self.biases[level][first]
+        # the per-layer stacks are views into one flat row per member
+        views = structure.parameter_views(structure.fill_stack(self.genomes))
+        self.weights: list[np.ndarray] = [w for w, _ in views]
+        self.biases: list[np.ndarray] = [b for _, b in views]
 
     @property
     def size(self) -> int:

@@ -22,8 +22,9 @@ from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork, NodeEval
 
-# the compiled plan reuses cpu-fast's private lowering on purpose: one
-# arithmetic implementation means one bit-identity proof obligation
+# the compiled plan reuses the vectorized engine's private lowering on
+# purpose: one arithmetic implementation means one bit-identity proof
+# obligation
 from repro.neat.vectorized import _LayerPlan, _NetPlan
 
 __all__ = ["CompiledStructure"]
@@ -38,6 +39,21 @@ class _RowRecipe:
     aggregation: str
     #: ingress source keys in plan term order (sorted; weight-independent)
     sources: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _ParamLayout:
+    """One member's flat parameter row: per layer, the ``(rows, fan_in)``
+    weights row-major, then the biases.  ``layers`` holds each layer's
+    ``(offset, rows, fan_in)``; ``index`` places the gathered values
+    (``bias_keys`` in plan row order, then ``conn_keys`` in ingress
+    order)."""
+
+    size: int
+    layers: tuple[tuple[int, int, int], ...]
+    bias_keys: tuple[int, ...]
+    conn_keys: tuple[tuple[int, int], ...]
+    index: np.ndarray
 
 
 class CompiledStructure:
@@ -55,7 +71,7 @@ class CompiledStructure:
         "output_keys",
         "rows",
         "plan",
-        "_fill_plan",
+        "_param_layout",
     )
 
     def __init__(
@@ -71,7 +87,7 @@ class CompiledStructure:
         self.output_keys = output_keys
         self.rows = rows
         self.plan = plan
-        self._fill_plan = None
+        self._param_layout: _ParamLayout | None = None
 
     @classmethod
     def from_genome(
@@ -106,87 +122,103 @@ class CompiledStructure:
         )
 
     # -------------------------------------------------------- parameters
+    def _layout(self) -> _ParamLayout:
+        """The flat parameter layout, built on first use."""
+        if self.plan is None:
+            raise ValueError(
+                f"shape {self.shape_key[:12]} is not vectorizable"
+            )
+        if self._param_layout is None:
+            layers = []
+            bias_index: list[int] = []
+            weight_index: list[int] = []
+            offset = 0
+            for layer_rows, base in zip(self.rows, self.plan.layers):
+                rows, fan_in = base.weights.shape
+                layers.append((offset, rows, fan_in))
+                for row, recipe in enumerate(layer_rows):
+                    bias_index.append(offset + rows * fan_in + row)
+                    weight_index.extend(
+                        offset + row * fan_in + term
+                        for term in range(len(recipe.sources))
+                    )
+                offset += rows * fan_in + rows
+            self._param_layout = _ParamLayout(
+                size=offset,
+                layers=tuple(layers),
+                bias_keys=tuple(
+                    recipe.key
+                    for layer_rows in self.rows
+                    for recipe in layer_rows
+                ),
+                conn_keys=tuple(
+                    (src, recipe.key)
+                    for layer_rows in self.rows
+                    for recipe in layer_rows
+                    for src in recipe.sources
+                ),
+                index=np.array(bias_index + weight_index, dtype=np.intp),
+            )
+        return self._param_layout
+
+    def fill_stack(self, genomes: list[Genome]) -> np.ndarray:
+        """``(len(genomes), size)`` flat parameter rows, one per genome.
+
+        Each distinct genome is gathered once (episode slots of one
+        genome repeat it), and the whole stack fills with one
+        fancy-indexed assignment off the precomputed index instead of a
+        Python loop per matrix element — this is the entire per-genome
+        cost of the compiled path and shows up directly in the
+        decode-vs-compile speedup.  Padded terms keep their zero weight.
+        """
+        layout = self._layout()
+        gathered: dict[int, list[float]] = {}
+        values = []
+        for genome in genomes:
+            row = gathered.get(id(genome))
+            if row is None:
+                nodes = genome.nodes
+                connections = genome.connections
+                row = gathered[id(genome)] = [
+                    nodes[key].bias for key in layout.bias_keys
+                ] + [connections[key].weight for key in layout.conn_keys]
+            values.append(row)
+        stack = np.zeros((len(genomes), layout.size))
+        stack[:, layout.index] = values
+        return stack
+
+    def parameter_views(
+        self, flat: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(weights, biases)`` views into ``flat``.
+
+        ``flat`` is a :meth:`fill_stack` result or one of its rows; each
+        view keeps the leading dimensions, so a bucket's stack yields the
+        ``(B, rows, fan_in)`` / ``(B, rows)`` tensors.
+        """
+        lead = flat.shape[:-1]
+        views = []
+        for offset, rows, fan_in in self._layout().layers:
+            end = offset + rows * fan_in
+            views.append(
+                (
+                    flat[..., offset:end].reshape(lead + (rows, fan_in)),
+                    flat[..., end : end + rows],
+                )
+            )
+        return views
+
     def fill_parameters(
         self, genome: Genome
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer ``(weights, biases)`` in plan layout for ``genome``.
 
         Shapes match the plan's padded matrices exactly — padded terms
-        stay ``(slot 0, weight 0.0)`` just like ``_NetPlan`` builds them,
+        stay ``(zero slot, weight 0.0)`` just like ``_NetPlan`` builds them,
         so the batched forward is bit-identical to decoding the genome
         itself.
         """
-        plan = self.plan
-        if plan is None:
-            raise ValueError(
-                f"shape {self.shape_key[:12]} is not vectorizable"
-            )
-        params = [
-            (np.zeros_like(base.weights), np.empty_like(base.biases))
-            for base in plan.layers
-        ]
-        self.fill_parameters_into(genome, params)
-        return params
-
-    def fill_parameters_into(
-        self,
-        genome: Genome,
-        params: list[tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Fill ``genome``'s weights/biases into preallocated layers.
-
-        ``params`` aligns with ``plan.layers``; weight arrays must
-        arrive zeroed (padded terms stay ``(slot 0, weight 0.0)``).
-        The fill runs off a precomputed per-layer index plan — one
-        fancy-indexed assignment per layer instead of a Python loop
-        per matrix element — because this is the entire per-genome
-        cost of the compiled path and shows up directly in the
-        decode-vs-compile speedup.
-        """
-        if self.plan is None:
-            raise ValueError(
-                f"shape {self.shape_key[:12]} is not vectorizable"
-            )
-        if self._fill_plan is None:
-            fill_plan = []
-            for layer_rows in self.rows:
-                bias_keys = tuple(recipe.key for recipe in layer_rows)
-                conn_keys = tuple(
-                    (src, recipe.key)
-                    for recipe in layer_rows
-                    for src in recipe.sources
-                )
-                row_index = np.array(
-                    [
-                        row
-                        for row, recipe in enumerate(layer_rows)
-                        for _ in recipe.sources
-                    ],
-                    dtype=np.intp,
-                )
-                term_index = np.array(
-                    [
-                        term
-                        for recipe in layer_rows
-                        for term in range(len(recipe.sources))
-                    ],
-                    dtype=np.intp,
-                )
-                fill_plan.append(
-                    (bias_keys, conn_keys, row_index, term_index)
-                )
-            self._fill_plan = fill_plan
-        nodes = genome.nodes
-        connections = genome.connections
-        for (bias_keys, conn_keys, row_index, term_index), (
-            weights,
-            biases,
-        ) in zip(self._fill_plan, params):
-            biases[:] = [nodes[key].bias for key in bias_keys]
-            if conn_keys:
-                weights[row_index, term_index] = [
-                    connections[key].weight for key in conn_keys
-                ]
+        return self.parameter_views(self.fill_stack([genome])[0])
 
     def member_plan(
         self, params: list[tuple[np.ndarray, np.ndarray]]

@@ -8,12 +8,13 @@ E3-INAX platform models, producing the Fig 9/10 comparisons.
 
 from repro.core.backends import (
     BACKENDS,
+    CompiledCPUBackend,
     CPUBackend,
     EvaluationBackend,
-    FastCPUBackend,
     GPUBackend,
     GenerationRecord,
     INAXBackend,
+    build_backend,
 )
 from repro.core.energy import (
     EnergyReport,
@@ -47,12 +48,12 @@ __all__ = [
     "BACKENDS",
     "BENCH_SETTINGS",
     "CPUBackend",
+    "CompiledCPUBackend",
     "E3",
     "E3RunResult",
     "EnergyReport",
     "EvaluationBackend",
     "ExperimentResult",
-    "FastCPUBackend",
     "GPUBackend",
     "GenerationRecord",
     "INAXBackend",
@@ -61,6 +62,7 @@ __all__ = [
     "PAPER_SETTINGS",
     "PhaseProfiler",
     "PlatformResult",
+    "build_backend",
     "cpu_model_for",
     "default_inax_config",
     "energy_report",

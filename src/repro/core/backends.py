@@ -3,17 +3,16 @@
 The E3 platform (Fig 5) keeps "evolve" on the CPU and chooses where to
 run "evaluate":
 
-* :class:`CPUBackend` — the SW-only baseline (E3-CPU): decode each
-  genome and run its episodes with the interpreted per-node forward
-  pass;
-* :class:`FastCPUBackend` — the production software path (``cpu-fast``):
-  decode each genome **once** per generation into a
-  :class:`~repro.neat.vectorized.VectorizedNetwork` (an LRU cache keyed
-  on the genome's structural hash carries elites' decoded networks
-  across generations), run the whole population's episodes in lock-step
-  through one :class:`~repro.neat.vectorized.PopulationEvaluator`, and
-  optionally shard the population across a ``multiprocessing`` pool.
-  Fitness trajectories are bit-identical to :class:`CPUBackend`;
+* :class:`CPUBackend` — the SW-only baseline (E3-CPU) and the fitness
+  oracle: decode each genome and run its episodes with the interpreted
+  per-node forward pass;
+* :class:`CompiledCPUBackend` — the production software path
+  (``cpu-compiled``): bucket the generation by topology shape, compile
+  each shape once into a cross-generation cache, run the whole
+  population's episodes in lock-step through one batched evaluator,
+  and optionally shard the population across a supervised
+  ``multiprocessing`` pool.  Fitness trajectories are bit-identical to
+  :class:`CPUBackend`;
 * :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
   genome to a HW configuration, dispatch the population in waves to the
   functional INAX device, and drive the closed CPU<->FPGA loop until
@@ -30,6 +29,10 @@ Every backend also records the generation's *workload* (for the
 CPU/GPU cost models) and, when an INAX configuration is attached, the
 analytic cycle report (for E3-INAX pricing) — this is what the Fig 9/10
 benchmark harnesses consume.
+
+:func:`build_backend` is the one place a backend name becomes an
+instance: ``E3``, ``repro resume``, the serve pool and the island model
+all construct through it.
 """
 
 from __future__ import annotations
@@ -38,26 +41,24 @@ import hashlib
 import math
 import multiprocessing
 import time
-from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.compile import CompileCache, CompiledPopulationEvaluator
-from repro.core.profiler import PhaseProfiler
+from repro.compile.structure import CompiledStructure
 from repro.envs.base import Environment
 from repro.envs.registry import make
-from repro.envs.rollout import run_episode, run_lockstep
+from repro.envs.rollout import EpisodeRecord, run_episode, run_lockstep
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import HWNetConfig, compile_genome
+from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig, pack_waves, predict_costs
 from repro.inax.pu import BufferOverflowError
 from repro.inax.timing import CycleReport
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
-from repro.neat.vectorized import PopulationEvaluator, VectorizedNetwork
 from repro.resilience.faults import (
     DeviceFault,
     FaultPlan,
@@ -79,11 +80,13 @@ __all__ = [
     "GenerationRecord",
     "EvaluationBackend",
     "CPUBackend",
-    "FastCPUBackend",
     "CompiledCPUBackend",
     "GPUBackend",
     "INAXBackend",
     "BACKENDS",
+    "build_backend",
+    "default_inax_config",
+    "resolve_backend_name",
 ]
 
 
@@ -194,7 +197,7 @@ class EvaluationBackend:
 
         ``load_checkpoint`` restores the population but no cache state;
         without warming, the first post-resume generation silently
-        re-decodes/re-compiles everything.  Returns how many cache
+        re-compiles everything.  Returns how many cache
         entries were built; backends without structural caches warm
         nothing.
         """
@@ -227,12 +230,12 @@ class EvaluationBackend:
         backends across jobs; this resets everything a run accumulates
         — generation records, the generation counter, LPT cost history,
         quarantine/resilience accounting — while deliberately keeping
-        the *structural* caches (decoded networks, compiled shapes,
-        live worker pools).  Those are keyed purely on genome content
-        and cannot change fitness bits, so a reused backend is
-        bit-identical to a fresh one but skips cold-start decode and
-        pool-spawn costs.  ``base_seed`` rebinds the run seed (it feeds
-        every per-episode seed draw) when the next job differs.
+        the *structural* caches (compiled shapes, live worker pools).
+        Those are keyed purely on genome content and cannot change
+        fitness bits, so a reused backend is bit-identical to a fresh
+        one but skips cold-start compile and pool-spawn costs.
+        ``base_seed`` rebinds the run seed (it feeds every per-episode
+        seed draw) when the next job differs.
         """
         self.records = []
         self._generation = 0
@@ -260,9 +263,77 @@ class EvaluationBackend:
     def _make_env(self) -> Environment:
         env = make(self.env_name, **self.env_kwargs)
         # env-level faults apply identically on every backend (and inside
-        # cpu-fast workers): FaultySensor keys its draws off the episode
+        # shard workers): FaultySensor keys its draws off the episode
         # seed, so sharding/fallback cannot change what fires
         return wrap_env(env, self.fault_plan)
+
+    def _compiled_records(
+        self,
+        genomes: list[Genome],
+        entries: list[CompiledStructure],
+        episodes: Sequence[int],
+    ) -> list[list[EpisodeRecord]]:
+        """Run ``episodes`` of every genome on the compiled engine.
+
+        The one lock-step function the fast software path evaluates
+        with: ``cpu-compiled`` runs whole generations through it and
+        the INAX wave fallback one faulted wave's episode.  ``entries``
+        are the genomes' compiled shapes; a shape that does not
+        vectorize (exotic aggregations) runs the interpreted reference
+        path instead, which produces the same bits by construction.
+        Returns each genome's episode records, in ``episodes`` order.
+        """
+        slots = [
+            (i, episode)
+            for i, entry in enumerate(entries)
+            if entry.plan is not None
+            for episode in episodes
+        ]
+        records: dict[tuple[int, int], EpisodeRecord] = {}
+        if slots:
+            envs = [self._make_env() for _ in slots]
+            seeds = [
+                self._episode_seed(genomes[i], episode)
+                for i, episode in slots
+            ]
+            buckets = len({id(entries[i]) for i, _ in slots})
+            with _span(
+                "compile.batch_step", slots=len(slots), buckets=buckets
+            ):
+                evaluator = CompiledPopulationEvaluator(
+                    [(entries[i], genomes[i]) for i, _ in slots]
+                )
+                episodes_run = run_lockstep(
+                    envs, evaluator.infer, seeds=seeds
+                )
+                records.update(zip(slots, episodes_run))
+        return [
+            [records[i, e] for e in episodes]
+            if entries[i].plan is not None
+            else self._interpreted_records([genome], episodes)[0]
+            for i, genome in enumerate(genomes)
+        ]
+
+    def _interpreted_records(
+        self, genomes: list[Genome], episodes: Sequence[int]
+    ) -> list[list[EpisodeRecord]]:
+        """Run ``episodes`` of every genome on the interpreted reference
+        path (:func:`run_episode`, one env at a time); returns each
+        genome's episode records, in ``episodes`` order."""
+        per_genome = []
+        for genome in genomes:
+            net = FeedForwardNetwork.create(genome, self.neat_config)
+            per_genome.append(
+                [
+                    run_episode(
+                        self._make_env(),
+                        net,
+                        seed=self._episode_seed(genome, episode),
+                    )
+                    for episode in episodes
+                ]
+            )
+        return per_genome
 
     def _event(self, kind: str, site: str, **details) -> ResilienceEvent:
         """Record one backend-level resilience event (+ telemetry)."""
@@ -357,6 +428,21 @@ class EvaluationBackend:
         return record
 
 
+def _totals(records: list[EpisodeRecord]) -> tuple[float, int]:
+    """One genome's summed reward and steps over its episodes.
+
+    Per-episode totals are summed in episode order — the one
+    accumulation every backend shares, so their fitness floats agree
+    bit for bit.
+    """
+    total_reward = 0.0
+    total_steps = 0
+    for record in records:
+        total_reward += record.total_reward
+        total_steps += record.steps
+    return total_reward, total_steps
+
+
 class CPUBackend(EvaluationBackend):
     """SW-only evaluation: the E3-CPU baseline.
 
@@ -368,22 +454,13 @@ class CPUBackend(EvaluationBackend):
     name = "cpu"
 
     def _evaluate(self, genomes: list[Genome]) -> None:
-        configs: list[HWNetConfig] = []
+        configs = [compile_genome(g, self.neat_config) for g in genomes]
+        episodes = self.episodes_per_genome
         lengths: list[int] = []
-        for genome in genomes:
-            net = FeedForwardNetwork.create(genome, self.neat_config)
-            configs.append(compile_genome(genome, self.neat_config))
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(self.episodes_per_genome):
-                record = run_episode(
-                    self._make_env(),
-                    net,
-                    seed=self._episode_seed(genome, episode),
-                )
-                total_reward += record.total_reward
-                total_steps += record.steps
-            genome.fitness = total_reward / self.episodes_per_genome
+        records = self._interpreted_records(genomes, range(episodes))
+        for genome, genome_records in zip(genomes, records):
+            total_reward, total_steps = _totals(genome_records)
+            genome.fitness = total_reward / episodes
             lengths.append(total_steps)
         self._record(configs, lengths, keys=[g.key for g in genomes])
 
@@ -401,108 +478,23 @@ class GPUBackend(CPUBackend):
     name = "gpu"
 
 
-def _interpreted_infer(nets):
-    """Lock-step infer over interpreted networks: row ``i`` of the
-    returned block is ``nets[tick.slots[i]].activate(tick.obs[i])``."""
-
-    def infer(tick):
-        return np.stack(
-            [
-                nets[slot].activate(obs)
-                for slot, obs in zip(tick.slots.tolist(), tick.obs)
-            ]
-        )
-
-    return infer
-
-
-@dataclass
-class _Decoded:
-    """One genome's per-generation decode products, cached together."""
-
-    config: HWNetConfig
-    net: FeedForwardNetwork
-    #: None when the genome's plan is not vectorizable (exotic
-    #: aggregation/activation) — those fall back to the interpreted path.
-    vnet: VectorizedNetwork | None
-
-
-class _DecodeCache:
-    """LRU of structural-hash -> :class:`_Decoded`.
-
-    Elites are copied unchanged between generations, so their decoded
-    networks and compiled HW configs hash identically and need decoding
-    only once per run instead of once per generation.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        #: entries inserted by :meth:`warm` (resume warm-start); kept out
-        #: of hits/misses so hit-rate telemetry stays honest
-        self.warmed = 0
-        self._entries: OrderedDict[str, _Decoded] = OrderedDict()
-
-    def get(self, genome: Genome, config: NEATConfig) -> _Decoded:
-        key = genome.structural_hash()
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        self._build(key, genome, config)
-        return self._entries[key]
-
-    def warm(self, genome: Genome, config: NEATConfig) -> bool:
-        """Insert ``genome``'s decode without touching hit/miss counts.
-
-        Returns True when an entry was actually built (False: already
-        cached).
-        """
-        key = genome.structural_hash()
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return False
-        self.warmed += 1
-        self._build(key, genome, config)
-        return True
-
-    def _build(self, key: str, genome: Genome, config: NEATConfig) -> None:
-        net = FeedForwardNetwork.create(genome, config)
-        try:
-            vnet = VectorizedNetwork(net)
-        except ValueError:
-            vnet = None
-        self._entries[key] = _Decoded(
-            config=compile_genome(genome, config), net=net, vnet=vnet
-        )
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 # ------------------------------------------------------------------ pool
 class _WorkerState:
-    """One worker process's state for FastCPUBackend's shards.
+    """One worker process's state for CompiledCPUBackend's shards.
 
-    Bundles the worker-local backend with the cumulative cache counters
-    it has already reported, so each shard result ships a *delta* the
-    parent can sum regardless of which worker the shard landed on.  The
-    whole object is rebuilt by :func:`_fastcpu_worker_init` every time a
-    pool (re)initializes its workers — counters can never leak between
-    successive or concurrent runs in one process the way the former
-    module-level dicts did.
+    Bundles the worker-local backend with the cumulative compile-cache
+    counters it has already reported, so each shard result ships a
+    *delta* the parent can sum regardless of which worker the shard
+    landed on.  The whole object is rebuilt by :func:`_worker_init`
+    every time a pool (re)initializes its workers — counters can never
+    leak between successive or concurrent runs in one process the way
+    module-level dicts would.
     """
 
-    __slots__ = ("backend", "reported_cache", "reported_compile")
+    __slots__ = ("backend", "reported_compile")
 
-    def __init__(self, backend: "FastCPUBackend") -> None:
+    def __init__(self, backend: "CompiledCPUBackend") -> None:
         self.backend = backend
-        self.reported_cache = {"hits": 0, "misses": 0}
         self.reported_compile = {"hits": 0, "misses": 0}
 
 
@@ -524,7 +516,7 @@ def _shard_slot(site: str) -> str:
     return ""
 
 
-def _fastcpu_worker_init(
+def _worker_init(
     env_name: str,
     neat_config: NEATConfig,
     episodes_per_genome: int,
@@ -532,14 +524,10 @@ def _fastcpu_worker_init(
     env_kwargs: dict,
     cache_size: int,
     fault_plan: FaultPlan | None = None,
-    backend_cls: "type[FastCPUBackend] | None" = None,
 ) -> None:
     global _WORKER_STATE
-    # workers run the parent's own class (cpu-compiled shards must use
-    # the compiled path), minus sharding — classes pickle by reference
-    cls = backend_cls if backend_cls is not None else FastCPUBackend
     _WORKER_STATE = _WorkerState(
-        cls(
+        CompiledCPUBackend(
             env_name,
             neat_config,
             episodes_per_genome=episodes_per_genome,
@@ -552,16 +540,16 @@ def _fastcpu_worker_init(
     )
 
 
-def _fastcpu_worker_evaluate(
+def _worker_evaluate(
     task: tuple[list[Genome], bool, str],
 ) -> tuple[list[tuple[int, float, int]], dict]:
     """Evaluate one shard; returns (per-genome rows, shard telemetry).
 
     The telemetry payload carries the worker-side wall seconds, the
-    decode-cache activity since the worker's last report, and — when
+    compile-cache activity since the worker's last report, and — when
     the parent has a metrics registry installed — a fresh worker-side
     registry snapshot (episode-step and wave-size histograms), so
-    sharded evaluation no longer discards worker-side telemetry.
+    sharded evaluation does not discard worker-side telemetry.
 
     ``task`` also carries the shard's fault site
     (``gen=G|shard=I|attempt=A``): any armed ``worker.*`` fault fires
@@ -584,36 +572,25 @@ def _fastcpu_worker_evaluate(
         if want_metrics:
             set_metrics(previous)
     seconds = time.perf_counter() - t0
-    info = backend.cache_info()
-    cache_delta = {
-        "hits": info["hits"] - state.reported_cache["hits"],
-        "misses": info["misses"] - state.reported_cache["misses"],
+    info = backend._compile_cache.info()
+    reported = state.reported_compile
+    compile_delta = {
+        "hits": info["hits"] - reported["hits"],
+        "misses": info["misses"] - reported["misses"],
     }
-    state.reported_cache["hits"] = info["hits"]
-    state.reported_cache["misses"] = info["misses"]
+    reported["hits"] = info["hits"]
+    reported["misses"] = info["misses"]
     telemetry = {
         # the shard's unique site (gen=G|shard=I|attempt=A) rides along
         # so the parent can merge each payload exactly once even if a
         # supervisor retry path ever hands the same result back twice
         "site": fault_site,
-        "phase_seconds": {"evaluate": seconds},
-        "cache_delta": cache_delta,
-        "cache_size": info["size"],
+        "seconds": seconds,
+        "compile_delta": compile_delta,
+        "compile_size": info["size"],
         "genomes": len(genomes),
         "metrics": registry.snapshot() if registry is not None else None,
     }
-    compile_cache = getattr(backend, "_compile_cache", None)
-    if compile_cache is not None:
-        compile_info = compile_cache.info()
-        telemetry["compile_delta"] = {
-            "hits": compile_info["hits"] - state.reported_compile["hits"],
-            "misses": (
-                compile_info["misses"] - state.reported_compile["misses"]
-            ),
-        }
-        state.reported_compile["hits"] = compile_info["hits"]
-        state.reported_compile["misses"] = compile_info["misses"]
-        telemetry["compile_size"] = compile_info["size"]
     rows = [
         (genome.key, fitness, length)
         for genome, fitness, length in zip(genomes, fitnesses, lengths)
@@ -621,91 +598,71 @@ def _fastcpu_worker_evaluate(
     return rows, telemetry
 
 
-class FastCPUBackend(CPUBackend):
-    """Vectorized + sharded + cached software evaluation (``cpu-fast``).
+class CompiledCPUBackend(EvaluationBackend):
+    """Structural-batching software evaluation (``cpu-compiled``).
 
     Three optimizations over :class:`CPUBackend`, none of which change a
     single bit of any fitness value:
 
-    1. **Vectorized inference** — each genome decodes once into a
-       :class:`VectorizedNetwork`; the whole population's episodes run
-       in lock-step through one :class:`PopulationEvaluator`, so a
-       generation's forward passes cost a handful of NumPy ops per
-       environment tick instead of a Python per-node loop per
-       individual.
-    2. **Sharding** — with ``workers > 1`` the population splits across
-       a persistent ``multiprocessing`` pool.  Per-(genome, episode)
-       seeding makes shard placement irrelevant to results.
-    3. **Decode caching** — an LRU keyed on
-       :meth:`Genome.structural_hash` carries elites' decoded networks
-       and compiled HW configs across generations.
+    1. **Shape compilation** — genomes bucket by the weights-excluded
+       :meth:`Genome.shape_key`, and each shape compiles **once** into
+       a :class:`~repro.compile.CompiledStructure` held in a
+       cross-generation :class:`~repro.compile.CompileCache`, so
+       steady-state generations — weight-mutated offspring of known
+       topologies — compile almost nothing.
+    2. **Batched inference** — a generation's members become stacked
+       weight/bias tensors over the shared plans
+       (:class:`~repro.compile.CompiledPopulationEvaluator`), so the
+       whole population advances one lock-step env step in a handful
+       of NumPy ops instead of a Python per-node loop per individual.
+    3. **Sharding** — with ``workers > 1`` the population splits across
+       a persistent, supervised ``multiprocessing`` pool; each worker
+       keeps its own compile cache and reports deltas back.
+       Per-(genome, episode) seeding makes shard placement irrelevant
+       to results.
 
-    Genomes whose plans cannot vectorize (exotic aggregations) fall back
-    to the interpreted :func:`run_episode` path, which produces the same
-    bits by construction.
+    The arithmetic keeps the interpreted path's term order and
+    activation kernels, and the HW configs lower through the shapes'
+    fill recipes to exactly what :func:`compile_genome` produces, so
+    fitness trajectories and workload records are bit-identical to
+    ``cpu``.  Non-vectorizable shapes (exotic aggregations) fall back
+    to the interpreted reference path, which produces the same bits by
+    construction.
     """
 
-    name = "cpu-fast"
-
-    #: below this many alive episodes, a lock-step tick dispatches to the
-    #: interpreted nets instead of the population evaluator — the flat
-    #: tensors' fixed per-tick cost only pays off on wide waves, and the
-    #: two paths produce identical bits, so the crossover is pure tuning
-    SMALL_WAVE = 12
+    name = "cpu-compiled"
 
     def __init__(
         self,
         env_name: str,
         neat_config: NEATConfig,
-        episodes_per_genome: int = 1,
-        base_seed: int = 0,
-        inax_config: INAXConfig | None = None,
-        env_kwargs: dict | None = None,
+        *,
         workers: int = 0,
         cache_size: int = 512,
-        fault_plan: FaultPlan | None = None,
-        quarantine_penalty: float = DEFAULT_PENALTY,
         supervisor: SupervisorConfig | None = None,
-        pipeline: PipelineConfig | None = None,
+        **kwargs,
     ):
         """``workers`` > 1 shards evaluation across that many worker
         processes; 0 or 1 evaluates in-process.  ``cache_size`` bounds
-        the decoded-network LRU (structural hashes -> decoded nets).
-        ``supervisor`` tunes the shard watchdog/retry policy (a default
-        :class:`SupervisorConfig` is used when omitted)."""
-        super().__init__(
-            env_name,
-            neat_config,
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-            inax_config=inax_config,
-            env_kwargs=env_kwargs,
-            fault_plan=fault_plan,
-            quarantine_penalty=quarantine_penalty,
-            pipeline=pipeline,
-        )
+        the shape-keyed compile cache.  ``supervisor`` tunes the shard
+        watchdog/retry policy (a default :class:`SupervisorConfig` is
+        used when omitted).  Every other keyword goes to
+        :class:`EvaluationBackend`."""
+        super().__init__(env_name, neat_config, **kwargs)
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self.supervisor_config = (
             supervisor if supervisor is not None else SupervisorConfig()
         )
-        self._cache = _DecodeCache(cache_size)
+        self._compile_cache = CompileCache(cache_size)
         self._supervisor: ShardSupervisor | None = None
-        #: worker-side phase seconds, merged back from every shard call
-        #: (parallel CPU-seconds, not wall time — the parent's own
-        #: "evaluate" wall span already covers the blocking map call)
-        self.shard_profiler = PhaseProfiler()
-        self._shard_cache = {"hits": 0, "misses": 0, "size": 0}
-        #: latest reported cache size per shard slot (``shard=N`` parsed
-        #: from the payload site); ``_shard_cache["size"]`` is their sum,
-        #: so the aggregate is deterministic regardless of the order
-        #: shard payloads arrive in
-        self._shard_sizes: dict[str, int] = {}
-        #: compile-cache deltas folded back from compiled shards (stays
-        #: zero for plain ``cpu-fast`` workers, which have no compile
-        #: cache)
+        #: compile-cache deltas folded back from worker shards
         self._shard_compile = {"hits": 0, "misses": 0}
+        #: latest reported compile-cache size per shard slot (``shard=N``
+        #: parsed from the payload site); the aggregate size is their
+        #: sum, so it is deterministic regardless of the order shard
+        #: payloads arrive in
         self._shard_compile_sizes: dict[str, int] = {}
 
     # --------------------------------------------------------- lifecycle
@@ -728,26 +685,20 @@ class FastCPUBackend(CPUBackend):
             pass
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
-        """Reset run accumulators; keep decode cache + worker pool warm.
+        """Reset run accumulators; keep compile cache + worker pool warm.
 
-        Cache *entries* survive (structural, content-keyed, bit-safe)
-        but the hit/miss/warmed counters restart so the next run's
-        cache stats cover only its own activity.  Worker-side sizes are
-        still live (the pool persists), so the aggregate ``size`` stays
-        truthful; worker deltas keep flowing against the workers' own
-        cumulative reported counters, which the run boundary does not
-        disturb.
+        Compiled structures survive (structural, content-keyed,
+        bit-safe) but the hit/miss/warmed counters restart so the next
+        run's cache stats cover only its own activity.  Worker-side
+        sizes are still live (the pool persists), so the aggregate
+        ``size`` stays truthful; worker deltas keep flowing against the
+        workers' own cumulative reported counters, which the run
+        boundary does not disturb.
         """
         super().reset_run_state(base_seed=base_seed)
-        self._cache.hits = 0
-        self._cache.misses = 0
-        self._cache.warmed = 0
-        self.shard_profiler = PhaseProfiler()
-        self._shard_cache = {
-            "hits": 0,
-            "misses": 0,
-            "size": sum(self._shard_sizes.values()),
-        }
+        self._compile_cache.hits = 0
+        self._compile_cache.misses = 0
+        self._compile_cache.warmed = 0
         self._shard_compile = {"hits": 0, "misses": 0}
         if self._supervisor is not None:
             # per-run resilience accounting; the pool itself stays warm
@@ -755,8 +706,8 @@ class FastCPUBackend(CPUBackend):
             self._supervisor.degraded_shards = 0
             self._supervisor.events = []
 
-    def cache_info(self) -> dict[str, int]:
-        """Decode-cache statistics: hits, misses, current size.
+    def compile_cache_info(self) -> dict[str, int]:
+        """Compile-cache statistics: hits, misses, size, warmed.
 
         With ``workers > 1`` the counts combine the parent cache with
         every worker shard's (workers report deltas back with each
@@ -766,17 +717,18 @@ class FastCPUBackend(CPUBackend):
         :meth:`warm_caches` (resume warm-start), which are deliberately
         excluded from hits/misses.
         """
+        info = self._compile_cache.info()
         return {
-            "hits": self._cache.hits + self._shard_cache["hits"],
-            "misses": self._cache.misses + self._shard_cache["misses"],
-            "size": len(self._cache) + self._shard_cache["size"],
-            "warmed": self._cache.warmed,
+            "hits": info["hits"] + self._shard_compile["hits"],
+            "misses": info["misses"] + self._shard_compile["misses"],
+            "size": info["size"] + sum(self._shard_compile_sizes.values()),
+            "warmed": info["warmed"],
         }
 
     def warm_caches(self, genomes: list[Genome]) -> int:
         built = 0
         for genome in genomes:
-            if self._cache.warm(genome, self.neat_config):
+            if self._compile_cache.warm(genome, self.neat_config):
                 built += 1
         return built
 
@@ -802,13 +754,20 @@ class FastCPUBackend(CPUBackend):
 
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
-        with _span("fastcpu.decode", genomes=len(genomes)):
-            decoded = [self._cache.get(g, self.neat_config) for g in genomes]
-        configs = [d.config for d in decoded]
+        with _span("compile.lookup", genomes=len(genomes)):
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
+        # workload records lower through the fill recipes — equal to
+        # compile_genome() field for field, without re-running CreateNet
+        configs = [
+            entry.hw_config(genome)
+            for entry, genome in zip(entries, genomes)
+        ]
         if self.workers > 1 and len(genomes) > 1:
             fitnesses, lengths = self._fitness_sharded(genomes)
         else:
-            fitnesses, lengths = self._fitness_for(genomes, decoded)
+            fitnesses, lengths = self._fitness_for(genomes, entries)
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_metrics()
@@ -818,15 +777,15 @@ class FastCPUBackend(CPUBackend):
         registry = get_metrics()
         if registry is None:
             return
-        info = self.cache_info()
-        registry.gauge("fastcpu.cache.hits").set(info["hits"])
-        registry.gauge("fastcpu.cache.misses").set(info["misses"])
-        registry.gauge("fastcpu.cache.size").set(info["size"])
+        info = self.compile_cache_info()
+        registry.gauge("compile.cache.hits").set(info["hits"])
+        registry.gauge("compile.cache.misses").set(info["misses"])
+        registry.gauge("compile.cache.size").set(info["size"])
 
     def _fitness_for(
         self,
         genomes: list[Genome],
-        decoded: list[_Decoded] | None = None,
+        entries: list[CompiledStructure] | None = None,
     ) -> tuple[list[float], list[int]]:
         """Evaluate ``genomes`` in-process; returns (fitnesses, lengths).
 
@@ -834,55 +793,17 @@ class FastCPUBackend(CPUBackend):
         per-episode totals in step order, summed in episode order, then
         one division — so the resulting floats are bit-identical.
         """
-        if decoded is None:
-            decoded = [self._cache.get(g, self.neat_config) for g in genomes]
+        if entries is None:
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
         episodes = self.episodes_per_genome
-
-        vector_ids = [i for i, d in enumerate(decoded) if d.vnet is not None]
-        records: dict[tuple[int, int], object] = {}
-        if vector_ids:
-            slots: list[tuple[int, int]] = [
-                (i, episode)
-                for i in vector_ids
-                for episode in range(episodes)
-            ]
-            envs = [self._make_env() for _ in slots]
-            seeds = [
-                self._episode_seed(genomes[i], episode)
-                for i, episode in slots
-            ]
-            evaluator = PopulationEvaluator(
-                [decoded[i].vnet for i, _ in slots]
-            )
-            interpreted = _interpreted_infer(
-                [decoded[i].net for i, _ in slots]
-            )
-
-            def infer(tick):
-                if len(tick) >= self.SMALL_WAVE:
-                    return evaluator.infer(tick)
-                return interpreted(tick)
-
-            for slot, record in zip(
-                slots, run_lockstep(envs, infer, seeds=seeds)
-            ):
-                records[slot] = record
-
         fitnesses: list[float] = []
         lengths: list[int] = []
-        for i, genome in enumerate(genomes):
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(episodes):
-                record = records.get((i, episode))
-                if record is None:  # non-vectorizable genome: reference path
-                    record = run_episode(
-                        self._make_env(),
-                        decoded[i].net,
-                        seed=self._episode_seed(genome, episode),
-                    )
-                total_reward += record.total_reward
-                total_steps += record.steps
+        for records in self._compiled_records(
+            genomes, entries, range(episodes)
+        ):
+            total_reward, total_steps = _totals(records)
             fitnesses.append(total_reward / episodes)
             lengths.append(total_steps)
         return fitnesses, lengths
@@ -895,16 +816,15 @@ class FastCPUBackend(CPUBackend):
         )
         return context.Pool(
             self.workers,
-            initializer=_fastcpu_worker_init,
+            initializer=_worker_init,
             initargs=(
                 self.env_name,
                 self.neat_config,
                 self.episodes_per_genome,
                 self.base_seed,
                 self.env_kwargs,
-                self._cache.capacity,
+                self._compile_cache.capacity,
                 self.fault_plan,
-                type(self),
             ),
         )
 
@@ -916,8 +836,8 @@ class FastCPUBackend(CPUBackend):
         The per-(genome, episode) seeding contract means this produces
         exactly the floats the dead shard would have — degradation is
         invisible in the fitness trajectory.  Cache activity lands on
-        the parent's own cache (counted by :meth:`cache_info` already),
-        so the telemetry payload carries zero deltas.
+        the parent's own cache (counted by :meth:`compile_cache_info`
+        already), so the telemetry payload carries zero deltas.
         """
         fitnesses, lengths = self._fitness_for(genomes)
         rows = [
@@ -926,9 +846,9 @@ class FastCPUBackend(CPUBackend):
         ]
         telemetry = {
             "site": site,
-            "phase_seconds": {},
-            "cache_delta": {"hits": 0, "misses": 0},
-            "cache_size": 0,
+            "seconds": 0.0,
+            "compile_delta": {"hits": 0, "misses": 0},
+            "compile_size": 0,
             "genomes": len(genomes),
             "metrics": None,
         }
@@ -948,7 +868,7 @@ class FastCPUBackend(CPUBackend):
         if self._supervisor is None:
             self._supervisor = ShardSupervisor(
                 self._make_pool,
-                _fastcpu_worker_evaluate,
+                _worker_evaluate,
                 self.supervisor_config,
             )
         supervisor = self._supervisor
@@ -993,12 +913,9 @@ class FastCPUBackend(CPUBackend):
     def _merge_shard_telemetry(self, payloads: list[dict]) -> None:
         """Fold worker-side telemetry into the parent's accumulators.
 
-        Phase seconds merge into :attr:`shard_profiler` (so
-        ``fractions()`` over worker CPU time is available next to the
-        population's wall-clock profile instead of being lost), cache
-        deltas into the combined :meth:`cache_info`, and — when a
-        metrics registry is installed — counters/histograms for the
-        shard workload.
+        Compile-cache deltas fold into :meth:`compile_cache_info`, and —
+        when a metrics registry is installed — counters/histograms for
+        the shard workload plus each worker's registry snapshot.
 
         The merge is *idempotent per site*: each payload carries the
         unique ``gen|shard|attempt`` site it was produced under, and a
@@ -1010,7 +927,7 @@ class FastCPUBackend(CPUBackend):
         Cache *sizes* (unlike deltas) are absolute snapshots, so they
         aggregate as the **sum over shard slots of each slot's most
         recent report** — never by folding payloads in arrival order,
-        which made the reported size jitter with delivery order.
+        which would make the reported size jitter with delivery order.
         Fallback payloads (site ``...|fallback``) leave the slot's size
         untouched: degradation ran in-parent, so the dead worker's
         cache did not change.  Siteless legacy payloads share one
@@ -1024,228 +941,22 @@ class FastCPUBackend(CPUBackend):
                 if site in seen_sites:
                     continue
                 seen_sites.add(site)
-            shard = PhaseProfiler()
-            for phase, seconds in payload["phase_seconds"].items():
-                shard.record(phase, seconds)
-            self.shard_profiler.merge(shard)
-            self._shard_cache["hits"] += payload["cache_delta"]["hits"]
-            self._shard_cache["misses"] += payload["cache_delta"]["misses"]
-            compile_delta = payload.get("compile_delta")
-            if compile_delta is not None:
-                self._shard_compile["hits"] += compile_delta["hits"]
-                self._shard_compile["misses"] += compile_delta["misses"]
+            self._shard_compile["hits"] += payload["compile_delta"]["hits"]
+            self._shard_compile["misses"] += payload["compile_delta"]["misses"]
             if not site or "attempt=" in site.split("|")[-1]:
-                slot = _shard_slot(site)
-                self._shard_sizes[slot] = payload["cache_size"]
-                if "compile_size" in payload:
-                    self._shard_compile_sizes[slot] = payload["compile_size"]
+                self._shard_compile_sizes[_shard_slot(site)] = payload[
+                    "compile_size"
+                ]
             if registry is not None:
                 registry.counter("fastcpu.shard.evaluate_seconds").inc(
-                    payload["phase_seconds"].get("evaluate", 0.0)
+                    payload["seconds"]
                 )
                 registry.histogram("fastcpu.shard.genomes").observe(
                     payload["genomes"]
                 )
                 if payload.get("metrics"):
                     registry.merge_snapshot(payload["metrics"])
-        self._shard_cache["size"] = sum(self._shard_sizes.values())
 
-
-class CompiledCPUBackend(FastCPUBackend):
-    """Structural-batching software evaluation (``cpu-compiled``).
-
-    Where ``cpu-fast`` decodes every genome whose *weighted* structural
-    hash is new — i.e. the weight-mutated bulk of every generation —
-    this backend buckets genomes by the weights-excluded
-    :meth:`Genome.shape_key` and compiles each shape **once** into a
-    :class:`~repro.compile.CompiledStructure` held in a
-    cross-generation :class:`~repro.compile.CompileCache`.  A
-    generation's members then become stacked weight/bias tensors over
-    the shared plans (:class:`~repro.compile.CompiledPopulationEvaluator`),
-    so a bucket advances one lock-step env step in a single batched
-    matmul, and steady-state generations compile almost nothing.
-
-    The arithmetic is the same flattened engine ``cpu-fast`` uses —
-    identical term order, identical activation kernels — and the HW
-    configs lower through the shapes' fill recipes to exactly what
-    :func:`compile_genome` produces, so fitness trajectories and
-    workload records are bit-identical to ``cpu``/``cpu-fast``.
-    Non-vectorizable shapes (exotic aggregations) fall back to the
-    interpreted reference path, which produces the same bits by
-    construction.  Sharding, supervision, and fault semantics are
-    inherited unchanged; shards run the compiled path with their own
-    compile caches and report deltas like the decode cache does.
-    """
-
-    name = "cpu-compiled"
-
-    def __init__(
-        self,
-        env_name: str,
-        neat_config: NEATConfig,
-        episodes_per_genome: int = 1,
-        base_seed: int = 0,
-        inax_config: INAXConfig | None = None,
-        env_kwargs: dict | None = None,
-        workers: int = 0,
-        cache_size: int = 512,
-        fault_plan: FaultPlan | None = None,
-        quarantine_penalty: float = DEFAULT_PENALTY,
-        supervisor: SupervisorConfig | None = None,
-        pipeline: PipelineConfig | None = None,
-    ):
-        """``cache_size`` bounds the shape-keyed compile cache (shapes
-        are far fewer than weighted structural hashes, so the same
-        capacity goes much further than the decode LRU's)."""
-        super().__init__(
-            env_name,
-            neat_config,
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-            inax_config=inax_config,
-            env_kwargs=env_kwargs,
-            workers=workers,
-            cache_size=cache_size,
-            fault_plan=fault_plan,
-            quarantine_penalty=quarantine_penalty,
-            supervisor=supervisor,
-            pipeline=pipeline,
-        )
-        self._compile_cache = CompileCache(cache_size)
-
-    def reset_run_state(self, base_seed: int | None = None) -> None:
-        super().reset_run_state(base_seed=base_seed)
-        # compiled structures survive across leased runs; counters don't
-        self._compile_cache.hits = 0
-        self._compile_cache.misses = 0
-        self._compile_cache.warmed = 0
-
-    # ------------------------------------------------------------- stats
-    def compile_cache_info(self) -> dict[str, int]:
-        """Compile-cache statistics, shaped like :meth:`cache_info`.
-
-        With ``workers > 1`` the counts combine the parent cache with
-        every compiled shard's (deltas per payload; ``size`` sums each
-        shard slot's most recent report, like the decode cache).
-        """
-        info = self._compile_cache.info()
-        return {
-            "hits": info["hits"] + self._shard_compile["hits"],
-            "misses": info["misses"] + self._shard_compile["misses"],
-            "size": info["size"] + sum(self._shard_compile_sizes.values()),
-            "warmed": info["warmed"],
-        }
-
-    def warm_caches(self, genomes: list[Genome]) -> int:
-        # the decode LRU is unused here; the compile cache is the
-        # structural cache that must survive a resume
-        built = 0
-        for genome in genomes:
-            if self._compile_cache.warm(genome, self.neat_config):
-                built += 1
-        return built
-
-    def _publish_metrics(self) -> None:
-        super()._publish_metrics()
-        registry = get_metrics()
-        if registry is None:
-            return
-        info = self.compile_cache_info()
-        registry.gauge("compile.cache.hits").set(info["hits"])
-        registry.gauge("compile.cache.misses").set(info["misses"])
-        registry.gauge("compile.cache.size").set(info["size"])
-
-    # -------------------------------------------------------- evaluation
-    def _evaluate(self, genomes: list[Genome]) -> None:
-        with _span("compile.lookup", genomes=len(genomes)):
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        # workload records lower through the fill recipes — equal to
-        # compile_genome() field for field, without re-running CreateNet
-        configs = [
-            entry.hw_config(genome)
-            for entry, genome in zip(entries, genomes)
-        ]
-        if self.workers > 1 and len(genomes) > 1:
-            fitnesses, lengths = self._fitness_sharded(genomes)
-        else:
-            fitnesses, lengths = self._fitness_for(genomes, entries=entries)
-        for genome, fitness in zip(genomes, fitnesses):
-            genome.fitness = fitness
-        self._publish_metrics()
-        self._record(configs, lengths, keys=[g.key for g in genomes])
-
-    def _fitness_for(
-        self,
-        genomes: list[Genome],
-        decoded: list[_Decoded] | None = None,
-        entries=None,
-    ) -> tuple[list[float], list[int]]:
-        """Compiled in-process evaluation; returns (fitnesses, lengths).
-
-        ``decoded`` is accepted (and ignored) for signature parity with
-        the sharded driver; the compiled path derives everything from
-        the compile cache.
-        """
-        if entries is None:
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        episodes = self.episodes_per_genome
-
-        vector_ids = [
-            i for i, entry in enumerate(entries) if entry.plan is not None
-        ]
-        records: dict[tuple[int, int], object] = {}
-        if vector_ids:
-            slots = [
-                (i, episode)
-                for i in vector_ids
-                for episode in range(episodes)
-            ]
-            envs = [self._make_env() for _ in slots]
-            seeds = [
-                self._episode_seed(genomes[i], episode)
-                for i, episode in slots
-            ]
-            buckets = len({id(entries[i]) for i, _ in slots})
-            with _span(
-                "compile.batch_step", slots=len(slots), buckets=buckets
-            ):
-                evaluator = CompiledPopulationEvaluator(
-                    [(entries[i], genomes[i]) for i, _ in slots]
-                )
-                for slot, record in zip(
-                    slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
-                ):
-                    records[slot] = record
-
-        fitnesses: list[float] = []
-        lengths: list[int] = []
-        interpreted: dict[int, FeedForwardNetwork] = {}
-        for i, genome in enumerate(genomes):
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(episodes):
-                record = records.get((i, episode))
-                if record is None:  # non-vectorizable shape: reference path
-                    net = interpreted.get(i)
-                    if net is None:
-                        net = FeedForwardNetwork.create(
-                            genome, self.neat_config
-                        )
-                        interpreted[i] = net
-                    record = run_episode(
-                        self._make_env(),
-                        net,
-                        seed=self._episode_seed(genome, episode),
-                    )
-                total_reward += record.total_reward
-                total_steps += record.steps
-            fitnesses.append(total_reward / episodes)
-            lengths.append(total_steps)
-        return fitnesses, lengths
 
 
 class INAXBackend(EvaluationBackend):
@@ -1284,7 +995,7 @@ class INAXBackend(EvaluationBackend):
         the fitness without evaluating, so selection prunes oversized
         topologies — the resource pressure a deployed E3 would apply.
 
-        ``fallback`` (``"cpu-fast"`` or ``"cpu"``) arms graceful
+        ``fallback`` (``"cpu-compiled"`` or ``"cpu"``) arms graceful
         degradation: a wave that hits a device fault
         (:class:`DeviceFault`, :class:`BufferOverflowError`) re-runs on
         the bit-identical software path instead of aborting, and an
@@ -1297,9 +1008,9 @@ class INAXBackend(EvaluationBackend):
                 f"unknown oversize_policy {oversize_policy!r}; "
                 "use 'raise' or 'penalize'"
             )
-        if fallback not in (None, "cpu-fast", "cpu"):
+        if fallback not in (None, "cpu-compiled", "cpu"):
             raise ValueError(
-                f"unknown fallback {fallback!r}; use 'cpu-fast', 'cpu', "
+                f"unknown fallback {fallback!r}; use 'cpu-compiled', 'cpu', "
                 "or None"
             )
         inax_config = inax_config or INAXConfig()
@@ -1378,7 +1089,9 @@ class INAXBackend(EvaluationBackend):
             if self.oversize_policy == "raise":
                 # degradation ladder: an unrunnable genome evaluates in
                 # software instead of aborting the whole run
-                genome.fitness = self._software_fitness(genome)
+                episodes = self.episodes_per_genome
+                (records,) = self._fallback_records([genome], range(episodes))
+                genome.fitness = _totals(records)[0] / episodes
                 self.fallback_genomes += 1
                 self._event(
                     "fallback.oversize", site,
@@ -1473,46 +1186,30 @@ class INAXBackend(EvaluationBackend):
             columns["fallback_waves"] = float(self.fallback_waves)
         return columns
 
-    def _software_fitness(self, genome: Genome) -> float:
-        """All-episode software evaluation (oversize degradation path)."""
-        net = FeedForwardNetwork.create(genome, self.neat_config)
-        total_reward = 0.0
-        for episode in range(self.episodes_per_genome):
-            record = run_episode(
-                self._make_env(),
-                net,
-                seed=self._episode_seed(genome, episode),
-            )
-            total_reward += record.total_reward
-        return total_reward / self.episodes_per_genome
-
-    def _fallback_wave_episode(self, genomes: list[Genome], episode: int):
-        """Re-run one wave's episode on the software path.
+    def _fallback_records(
+        self, genomes: list[Genome], episodes: Sequence[int]
+    ) -> list[list[EpisodeRecord]]:
+        """Run ``episodes`` of ``genomes`` on the armed software rung.
 
         Fresh envs + the same per-(genome, episode) seeds make this
         bit-identical to what the device would have produced (the
-        backend-parity contract), no matter how far the faulted wave
-        got.  ``fallback="cpu-fast"`` uses the vectorized evaluator
-        when every genome vectorizes; otherwise — and for
-        ``fallback="cpu"`` — the interpreted per-node path runs.
+        backend-parity contract), no matter how far a faulted wave
+        got.  ``fallback="cpu-compiled"`` runs the compiled engine
+        ``cpu-compiled`` evaluates with; ``fallback="cpu"`` the
+        interpreted per-node path.
         """
-        envs = [self._make_env() for _ in genomes]
-        seeds = [self._episode_seed(genome, episode) for genome in genomes]
-        nets = [
-            FeedForwardNetwork.create(genome, self.neat_config)
-            for genome in genomes
+        if self.fallback == "cpu-compiled":
+            cache = CompileCache(len(genomes))
+            entries = [cache.get(g, self.neat_config) for g in genomes]
+            return self._compiled_records(genomes, entries, episodes)
+        return self._interpreted_records(genomes, episodes)
+
+    def _fallback_wave_episode(self, genomes: list[Genome], episode: int):
+        """Re-run one faulted wave's episode on the software rung."""
+        return [
+            records[0]
+            for records in self._fallback_records(genomes, [episode])
         ]
-        if self.fallback == "cpu-fast":
-            vnets = []
-            for net in nets:
-                try:
-                    vnets.append(VectorizedNetwork(net))
-                except ValueError:
-                    vnets.append(None)
-            if all(vnet is not None for vnet in vnets):
-                evaluator = PopulationEvaluator(vnets)
-                return run_lockstep(envs, evaluator.infer, seeds=seeds)
-        return run_lockstep(envs, _interpreted_infer(nets), seeds=seeds)
 
     def _device_wave_episode(
         self,
@@ -1570,12 +1267,94 @@ class INAXBackend(EvaluationBackend):
             lengths[indices[slot]] += record.steps
 
 
-#: CLI/platform name -> backend class, for everything that selects a
-#: backend by string.
+
+#: CLI/platform name -> backend class.  ``repro.fabric`` registers
+#: ``"fabric"`` on import; :func:`build_backend` is the only reader.
 BACKENDS: dict[str, type[EvaluationBackend]] = {
     "cpu": CPUBackend,
-    "cpu-fast": FastCPUBackend,
     "cpu-compiled": CompiledCPUBackend,
     "gpu": GPUBackend,
     "inax": INAXBackend,
 }
+
+#: constructor kwargs a backend takes beyond the ones every backend does
+_EXTRA_KWARGS: dict[str, tuple[str, ...]] = {
+    "cpu-compiled": ("workers", "supervisor"),
+    "inax": ("fallback",),
+    "fabric": ("fallback", "devices", "supervisor"),
+}
+
+
+def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
+    """The paper's §VI-C configuration: PU=50, PE=#output nodes."""
+    return INAXConfig(
+        num_pus=num_pus, num_pes_per_pu=choose_num_pes(num_outputs)
+    )
+
+
+def resolve_backend_name(name: str, devices: int = 1) -> str:
+    """The backend ``name`` runs as on ``devices`` devices.
+
+    A farm of INAX devices is still the inax path, just its distributed
+    flavour, so ``inax`` on more than one device becomes ``fabric``;
+    any other backend has no devices to spread over and is rejected.
+    """
+    if devices > 1 and name == "inax":
+        return "fabric"
+    if devices > 1 and name != "fabric":
+        raise ValueError(
+            f"devices={devices} needs the fabric backend, not {name!r}"
+        )
+    return name
+
+
+def build_backend(
+    name: str,
+    env_name: str,
+    neat_config: NEATConfig,
+    *,
+    episodes_per_genome: int = 1,
+    base_seed: int = 0,
+    inax_config: INAXConfig | None = None,
+    env_kwargs: dict | None = None,
+    workers: int = 0,
+    devices: int = 1,
+    fault_plan: FaultPlan | None = None,
+    fallback: str | None = None,
+    supervisor: SupervisorConfig | None = None,
+    pipeline: PipelineConfig | None = None,
+) -> EvaluationBackend:
+    """Construct the backend called ``name`` — the one construction path.
+
+    Every backend gets the same INAX configuration rule (the explicit
+    ``inax_config``, else :func:`default_inax_config` for the config's
+    output count), so software backends price the same cycles a device
+    run reports, and a pooled, resumed or island backend matches a
+    fresh ``E3`` one.  ``devices`` follows :func:`resolve_backend_name`.
+    ``workers`` and ``supervisor`` reach only the backends that shard
+    or supervise; ``fallback`` only the device backends.
+    """
+    name = resolve_backend_name(name, devices)
+    if name not in BACKENDS:
+        names = ", ".join(repr(n) for n in sorted(BACKENDS))
+        raise ValueError(f"unknown backend {name!r}; use one of {names}")
+    if inax_config is None:
+        inax_config = default_inax_config(neat_config.num_outputs)
+    options = {
+        "workers": workers,
+        "devices": devices,
+        "fallback": fallback,
+        "supervisor": supervisor,
+    }
+    kwargs = {key: options[key] for key in _EXTRA_KWARGS.get(name, ())}
+    return BACKENDS[name](
+        env_name,
+        neat_config,
+        episodes_per_genome=episodes_per_genome,
+        base_seed=base_seed,
+        inax_config=inax_config,
+        env_kwargs=env_kwargs,
+        fault_plan=fault_plan,
+        pipeline=pipeline,
+        **kwargs,
+    )

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.core.backends import GenerationRecord
 from repro.core.energy import EnergyReport, energy_report
-from repro.core.platform import E3, E3RunResult, default_inax_config
-from repro.envs.registry import make, spec
+from repro.core.platform import E3, E3RunResult
+from repro.envs.registry import spec
 from repro.hw.cpu_model import CPUModel, PhaseTimes
 from repro.hw.fpga_model import INAXPlatformModel
 from repro.hw.gpu_model import GPUModel
@@ -146,17 +146,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run NEAT on ``env_name`` and price it on all three platforms.
 
-    ``backend`` picks where the functional run executes — ``cpu-fast``
-    prices identically to ``cpu`` because the fitness trajectory,
-    workloads, and episode lengths are bit-identical; it just finishes
-    the functional run sooner.  ``workers`` shards ``cpu-fast``
-    evaluation across processes.
+    ``backend`` picks where the functional run executes —
+    ``cpu-compiled`` prices identically to ``cpu`` because the fitness
+    trajectory, workloads, and episode lengths are bit-identical; it
+    just finishes the functional run sooner.  ``workers`` shards
+    ``cpu-compiled`` evaluation across processes.
     """
     env_spec = spec(env_name)
-    env = make(env_name)
-    if inax_config is None:
-        inax_config = default_inax_config(env.num_outputs)
-
     platform = E3(
         env_name,
         backend=backend,
@@ -171,7 +167,7 @@ def run_experiment(
     )
     platform.backend.close()
     platforms, merged = price_run(
-        run.records, inax_config, cpu_model=cpu_model_for(env_name)
+        run.records, platform.inax_config, cpu_model=cpu_model_for(env_name)
     )
     return ExperimentResult(
         env_name=env_name,

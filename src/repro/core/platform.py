@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.backends import (
-    BACKENDS,
     EvaluationBackend,
-    FastCPUBackend,
     GenerationRecord,
+    build_backend,
+    default_inax_config,
 )
 from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.inax.accelerator import INAXConfig
-from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
@@ -35,13 +34,6 @@ __all__ = [
     "default_inax_config",
     "effective_neat_config",
 ]
-
-
-def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
-    """The paper's §VI-C configuration: PU=50, PE=#output nodes."""
-    return INAXConfig(
-        num_pus=num_pus, num_pes_per_pu=choose_num_pes(num_outputs)
-    )
 
 
 def effective_neat_config(
@@ -114,23 +106,27 @@ class E3:
         model-tuning plant perturbation); ``seed_genome`` warm-starts
         the population from a deployed champion (§I's model-tuning
         use-case — see ``examples/model_tuning.py``); ``workers``
-        shards the ``cpu-fast`` backend's evaluation across that many
-        worker processes (ignored by the other backends); ``telemetry``
+        shards the ``cpu-compiled`` backend's evaluation across that
+        many worker processes (ignored by the other backends);
+        ``telemetry``
         attaches a :class:`~repro.telemetry.TelemetrySession` — it is
         installed for the duration of :meth:`run`, phase timings tee
         into its metrics registry, and the backend's cache/shard
-        statistics are published into it at run end.
+        statistics land in it (compile-cache gauges every generation,
+        resilience counters at run end).
 
         The resilience knobs (see ``docs/resilience.md``): ``fault_plan``
         arms a seeded :class:`~repro.resilience.faults.FaultPlan` for
-        chaos runs; ``fallback`` (``"cpu-fast"`` or ``"cpu"``) lets the
-        ``inax`` backend degrade faulted waves to the software path;
-        ``supervisor`` tunes the ``cpu-fast`` shard watchdog *and* the
+        chaos runs; ``fallback`` (``"cpu-compiled"`` or ``"cpu"``) lets
+        the ``inax`` backend degrade faulted waves to the software path;
+        ``supervisor`` tunes the ``cpu-compiled`` shard watchdog *and* the
         fabric device supervisor — the shared
         :class:`~repro.resilience.supervisor.SupervisorConfig`.
 
         ``devices`` sizes the ``fabric`` backend's simulated INAX farm
-        (``docs/fabric.md``); the other backends ignore it.
+        (``docs/fabric.md``); ``inax`` on more than one device runs as
+        ``fabric``, and the software backends reject it (both rules are
+        :func:`~repro.core.backends.build_backend`'s).
 
         ``pipeline`` (a :class:`~repro.inax.pipeline.PipelineConfig`)
         selects the generation-pipelining policies: LPT wave packing,
@@ -175,42 +171,35 @@ class E3:
                 num_outputs=env.num_outputs,
                 fitness_threshold=env_spec.required_fitness,
             )
-        if inax_config is None:
-            inax_config = default_inax_config(env.num_outputs)
-        self.inax_config = inax_config
         self.profiler = PhaseProfiler()
         self.seed = seed
         self.telemetry = telemetry
 
         if isinstance(backend, EvaluationBackend):
             self.backend = backend
-        elif backend in BACKENDS:
-            backend_cls = BACKENDS[backend]
-            kwargs = dict(
+        else:
+            self.backend = build_backend(
+                backend,
+                env_name,
+                self.neat_config,
                 episodes_per_genome=episodes_per_genome,
                 base_seed=seed,
                 inax_config=inax_config,
                 env_kwargs=env_kwargs,
+                workers=workers,
+                devices=devices,
                 fault_plan=fault_plan,
+                fallback=fallback,
+                supervisor=supervisor,
                 pipeline=pipeline,
             )
-            if issubclass(backend_cls, FastCPUBackend):
-                kwargs["workers"] = workers
-                if supervisor is not None:
-                    kwargs["supervisor"] = supervisor
-            if backend in ("inax", "fabric"):
-                kwargs["fallback"] = fallback
-            if backend == "fabric":
-                kwargs["devices"] = devices
-                if supervisor is not None:
-                    kwargs["supervisor"] = supervisor
-            self.backend = backend_cls(env_name, self.neat_config, **kwargs)
-        else:
-            names = ", ".join(repr(n) for n in sorted(BACKENDS))
-            raise ValueError(
-                f"unknown backend {backend!r}; use one of {names} "
-                "or an EvaluationBackend instance"
-            )
+        # build_backend owns the default; only a backend instance built
+        # without an INAX config needs one here
+        self.inax_config = (
+            inax_config
+            or self.backend.inax_config
+            or default_inax_config(env.num_outputs)
+        )
         recorder = (
             self.profiler
             if telemetry is None
@@ -307,16 +296,6 @@ class E3:
         """Publish end-of-run backend statistics into the session."""
         registry = session.metrics
         backend = self.backend
-        if hasattr(backend, "cache_info"):
-            info = backend.cache_info()
-            registry.gauge("fastcpu.cache.hits").set(info["hits"])
-            registry.gauge("fastcpu.cache.misses").set(info["misses"])
-            registry.gauge("fastcpu.cache.size").set(info["size"])
-        if hasattr(backend, "compile_cache_info"):
-            info = backend.compile_cache_info()
-            registry.gauge("compile.cache.hits").set(info["hits"])
-            registry.gauge("compile.cache.misses").set(info["misses"])
-            registry.gauge("compile.cache.size").set(info["size"])
         if getattr(backend, "oversize_count", 0):
             registry.gauge("inax.oversize_genomes").set(backend.oversize_count)
         if getattr(backend, "quarantine_count", 0):

@@ -2,7 +2,7 @@
 
 The interpreted per-node forward pass (:class:`FeedForwardNetwork`) is
 the *reference* — INAX's PEs match it bit-for-bit.  For software-side
-throughput (the ``cpu-fast`` backend, batch inference, Monte-Carlo
+throughput (the ``cpu-compiled`` backend, batch inference, Monte-Carlo
 fitness over many rollouts), this module compiles the same layered plan
 into padded per-layer index/weight matrices and replays the reference
 computation with NumPy:
@@ -24,14 +24,16 @@ Two evaluators share that compiled plan:
 * :class:`PopulationEvaluator` — many networks in lock-step, one
   observation each, flattened into a single value buffer so a whole
   population's forward pass costs a handful of NumPy ops per layer.
-  This is the inference engine behind ``FastCPUBackend``.
+  This is the inference engine behind ``CompiledCPUBackend``.
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the
 reference implementation.
 
-Known (theoretical) bit-equality caveat: padded fan-in entries append
-``value * 0.0`` terms to a node's accumulation, which is an exact no-op
+Padded fan-in entries read an always-zero slot, so a NaN or inf
+observation cannot leak into a node that does not take it as input.
+Known (theoretical) bit-equality caveat: those padded entries append
+``0.0 * 0.0`` terms to a node's accumulation, which is an exact no-op
 for every sum except one that is exactly ``-0.0``; NEAT's continuous
 weights make that case unobservable in practice, and ``-0.0 == 0.0``
 anyway under IEEE comparison.
@@ -51,24 +53,32 @@ if TYPE_CHECKING:
 __all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
 
 
+def _clamp(x, low: float, high: float):
+    """``max(low, min(high, x))`` elementwise, with the builtins' NaN
+    rule: a NaN compares false, so ``min`` keeps ``high`` and the clamp
+    returns ``high``.  ``np.fmin`` does the same where ``np.clip`` would
+    propagate the NaN."""
+    return np.fmax(np.fmin(x, high), low)
+
+
 def _vec_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(4.9 * x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-_clamp(4.9 * x, -60.0, 60.0)))
 
 
 def _vec_tanh(x):
-    return np.tanh(np.clip(2.5 * x, -60.0, 60.0))
+    return np.tanh(_clamp(2.5 * x, -60.0, 60.0))
 
 
 def _vec_gauss(x):
-    z = np.clip(x, -3.4, 3.4)
+    z = _clamp(x, -3.4, 3.4)
     # ((-5.0 * z) * z), matching the scalar registry's evaluation order
     return np.exp(-5.0 * z * z)
 
 
-# NumPy twins of repro.neat.activations: same constants, same clamping,
-# and crucially the same operation *order* (clamp before scale, multiply
-# chains associated identically), so each is bit-identical to its scalar
-# counterpart elementwise.
+# NumPy twins of repro.neat.activations: same constants, same clamping
+# (NaN included), and crucially the same operation *order* (clamp before
+# scale, multiply chains associated identically), so each is
+# bit-identical to its scalar counterpart elementwise.
 _VECTOR_ACTIVATIONS = {
     "sigmoid": _vec_sigmoid,
     "tanh": _vec_tanh,
@@ -76,9 +86,9 @@ _VECTOR_ACTIVATIONS = {
     "leaky_relu": lambda x: np.where(x > 0.0, x, 0.005 * x),
     "identity": lambda x: x,
     "mlp_tanh": np.tanh,
-    "clamped": lambda x: np.clip(x, -1.0, 1.0),
+    "clamped": lambda x: _clamp(x, -1.0, 1.0),
     "gauss": _vec_gauss,
-    "sin": lambda x: np.sin(np.clip(5.0 * x, -60.0, 60.0)),
+    "sin": lambda x: np.sin(_clamp(5.0 * x, -60.0, 60.0)),
     "abs": np.abs,
     "step": lambda x: (x > 0.0).astype(np.float64),
 }
@@ -88,9 +98,10 @@ class _LayerPlan:
     """One layer's padded execution plan over the flat value buffer.
 
     ``sources``/``weights`` are ``(rows, max_fan_in)``; rows with fewer
-    ingress terms are padded with ``(slot 0, weight 0.0)`` entries so a
-    layer evaluates with dense array ops.  ``act_groups`` maps each
-    distinct activation to the row indices using it.
+    ingress terms are padded with ``(zero slot, weight 0.0)`` entries so
+    a layer evaluates with dense array ops.  The zero slot is the plan's
+    last value slot, which no layer ever writes.  ``act_groups`` maps
+    each distinct activation to the row indices using it.
     """
 
     __slots__ = ("sources", "weights", "biases", "act_groups", "slots")
@@ -123,6 +134,8 @@ class _NetPlan:
         self.num_inputs = len(net.input_keys)
         self.num_outputs = len(net.output_keys)
 
+        # the trailing slot after every input and node: padding reads it
+        zero_slot = self.num_inputs + sum(len(layer) for layer in net.layers)
         # value-buffer slot index for every key, inputs first
         index: dict[int, int] = {
             key: i for i, key in enumerate(net.input_keys)
@@ -133,7 +146,7 @@ class _NetPlan:
             fan_in = max(
                 (net.node_evals[key].fan_in for key in layer), default=0
             )
-            sources = np.zeros((rows, fan_in), dtype=np.intp)
+            sources = np.full((rows, fan_in), zero_slot, dtype=np.intp)
             weights = np.zeros((rows, fan_in))
             biases = np.empty(rows)
             act_rows: dict[str, list[int]] = {}
@@ -155,7 +168,7 @@ class _NetPlan:
             self.layers.append(
                 _LayerPlan(sources, weights, biases, act_groups, slots)
             )
-        self.num_slots = len(index)
+        self.num_slots = zero_slot + 1
         self.output_slots = np.array(
             [index.get(k, -1) for k in net.output_keys], dtype=np.intp
         )
@@ -278,7 +291,8 @@ class PopulationEvaluator:
         for i, plan in enumerate(plans):
             offsets[i] = total
             total += plan.num_slots
-        zero_slot = total  # always-zero scratch, used for absent outputs
+        # always-zero scratch: level padding and absent outputs read it
+        zero_slot = total
 
         depth = max(len(plan.layers) for plan in plans)
         layers: list[_LayerPlan] = []
@@ -295,8 +309,9 @@ class PopulationEvaluator:
             # one preallocated tensor per level, filled by slice — not a
             # concatenate over hundreds of per-member scratch arrays,
             # which dominated build time for large populations.  Padding
-            # columns read slot 0 with weight 0, contributing exactly 0.
-            sources = np.zeros((total_rows, fan_in), dtype=np.intp)
+            # columns read the zero slot with weight 0, contributing
+            # exactly 0 whatever the observations hold.
+            sources = np.full((total_rows, fan_in), zero_slot, dtype=np.intp)
             weights = np.zeros((total_rows, fan_in))
             biases = np.empty(total_rows)
             slots = np.empty(total_rows, dtype=np.intp)
@@ -327,9 +342,7 @@ class PopulationEvaluator:
         self._position[self._built] = np.arange(len(members))
         self._total = total
         self._layers = layers
-        self._input_index = (
-            offsets[:, None] + np.arange(self.num_inputs)
-        ).ravel()
+        self._input_index = offsets[:, None] + np.arange(self.num_inputs)
         out_index = np.empty((len(plans), self.num_outputs), dtype=np.intp)
         for i, plan in enumerate(plans):
             out_index[i] = np.where(
@@ -338,7 +351,6 @@ class PopulationEvaluator:
                 zero_slot,
             )
         self._output_index = out_index
-        self._obs = np.zeros((len(plans), self.num_inputs))
         self._values = np.zeros(total + 1)
         self.rebuilds += 1
 
@@ -359,14 +371,14 @@ class PopulationEvaluator:
             if len(alive) < self.REBUILD_FRACTION * len(built):
                 self._build(alive.tolist())
         rows = self._position[alive]
-        obs = self._obs
-        obs[rows] = tick.obs
-        # _values persists across ticks: stale non-input slots are always
-        # rewritten before being read (every built member's every node
-        # recomputes each tick), and the trailing zero_slot is never
-        # written, so it stays 0.0 for absent outputs.
+        # _values persists across ticks: node slots are rewritten before
+        # being read, a built member no longer live keeps stale inputs
+        # but is never read, and the trailing zero_slot stays 0.0 for
+        # absent outputs.  ``take`` picks rows because NumPy releases
+        # the GIL for ``index[rows]`` on a 2-D array, a hand-off per
+        # tick under concurrent runs (the serve layer's job threads).
         values = self._values
-        values[self._input_index] = obs.ravel()
+        values[self._input_index.take(rows, axis=0)] = tick.obs
         for layer in self._layers:
             gathered = values[layer.sources]  # (rows, fan_in)
             # one elementwise product, then in-place column accumulation:
@@ -377,7 +389,7 @@ class PopulationEvaluator:
                 acc += products[:, term]
             pre = acc + layer.biases
             values[layer.slots] = _apply_activations(layer, pre)
-        return values[self._output_index[rows]]
+        return values[self._output_index.take(rows, axis=0)]
 
 
 def vectorize(net: FeedForwardNetwork) -> VectorizedNetwork:

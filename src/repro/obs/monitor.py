@@ -117,10 +117,6 @@ def build_sample(
         kwargs["pack_eff"] = float(extras["pack_eff"])
     if backend is None:
         return GenerationSample(**kwargs)
-    if hasattr(backend, "cache_info"):
-        info = backend.cache_info()
-        kwargs["cache_hits"] = float(info["hits"])
-        kwargs["cache_misses"] = float(info["misses"])
     if hasattr(backend, "compile_cache_info"):
         info = backend.compile_cache_info()
         kwargs["compile_hits"] = float(info["hits"])

@@ -10,12 +10,12 @@ scenarios a first-class, replayable workload:
   :class:`ResilienceEvent` records;
 * :mod:`repro.resilience.injectors` — adapters that land plan faults
   on the INAX device model and the environment observation path;
-* :mod:`repro.resilience.supervisor` — the cpu-fast shard watchdog
+* :mod:`repro.resilience.supervisor` — the cpu-compiled shard watchdog
   with retry/backoff on a respawned pool and in-process degradation;
 * :mod:`repro.resilience.quarantine` — the non-finite-fitness sentinel
   that keeps NaN out of selection.
 
-The degradation ladder is ``inax -> cpu-fast -> cpu``: a faulted INAX
+The degradation ladder is ``inax -> cpu-compiled -> cpu``: a faulted INAX
 wave falls back to the bit-identical software path, a failed shard
 retries then degrades to in-process evaluation, and because every
 episode is seeded per ``(genome, episode)`` the ladder never changes

@@ -23,9 +23,9 @@ Fault kinds
 ===========================  ====================================================
 kind                         effect
 ===========================  ====================================================
-``worker.crash``             cpu-fast worker calls ``os._exit`` mid-task
-``worker.hang``              cpu-fast worker sleeps past the shard watchdog
-``worker.error``             cpu-fast worker raises :class:`InjectedWorkerError`
+``worker.crash``             shard worker calls ``os._exit`` mid-task
+``worker.hang``              shard worker sleeps past the shard watchdog
+``worker.error``             shard worker raises :class:`InjectedWorkerError`
 ``inax.weight_bitflip``      one bit flips in a PU's loaded weight buffer
 ``inax.value_bitflip``       one bit flips in a step's input value buffer
 ``inax.pu_stall``            one PU stalls for ``param`` extra cycles
@@ -104,7 +104,7 @@ DEVICE_DROP = "fabric.device_drop"
 HEARTBEAT_DELAY = "fabric.heartbeat_delay"
 MIGRATION_CORRUPT = "fabric.migration_corrupt"
 
-#: kinds that target cpu-fast worker processes (detected by supervision)
+#: kinds that target cpu-compiled worker processes (detected by supervision)
 WORKER_KINDS = (WORKER_CRASH, WORKER_HANG, WORKER_ERROR)
 #: kinds that target the INAX device (handled by per-wave fallback)
 DEVICE_KINDS = (
@@ -133,7 +133,7 @@ class DeviceFault(RuntimeError):
 
 
 class InjectedWorkerError(RuntimeError):
-    """A ``worker.error`` fault fired inside a cpu-fast worker shard."""
+    """A ``worker.error`` fault fired inside a cpu-compiled worker shard."""
 
 
 # ------------------------------------------------------------- bit flipping
@@ -207,7 +207,7 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, replayable set of armed faults.
 
-    Picklable (it crosses the ``cpu-fast`` worker-initializer boundary)
+    Picklable (it crosses the shard worker-initializer boundary)
     and stateless in its draws: :meth:`fires` and :meth:`rng_for` hash
     ``(seed, kind, site)`` — they never mutate the plan, so the order
     (or process) in which sites are probed cannot change any outcome.

@@ -1,6 +1,6 @@
 """Shard supervision: watchdog, retry with backoff, graceful degrade.
 
-``FastCPUBackend`` hands each generation's shards to a
+``CompiledCPUBackend`` hands each generation's shards to a
 :class:`ShardSupervisor` instead of calling ``Pool.map`` directly.  The
 supervisor turns three failure modes into recoverable events:
 

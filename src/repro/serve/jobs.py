@@ -65,7 +65,7 @@ class JobSpec:
     """
 
     env: str = "cartpole"
-    backend: str = "cpu-fast"
+    backend: str = "cpu-compiled"
     population_size: int = 24
     generations: int = 5
     seed: int = 0

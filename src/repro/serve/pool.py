@@ -1,7 +1,7 @@
 """Backend pool: leases evaluation backends to service jobs.
 
 Building a backend is the expensive part of a small job — spawning a
-worker pool, cold decode caches, environment construction.  The pool
+worker pool, cold compile caches, environment construction.  The pool
 keeps finished jobs' backends warm and leases them to later jobs with
 the *same construction key* (environment, backend class, episode
 count, worker count, and the full NEAT config), after
@@ -25,9 +25,7 @@ import threading
 from dataclasses import asdict
 from typing import Any
 
-from repro.core.backends import BACKENDS, EvaluationBackend, FastCPUBackend
-from repro.core.platform import default_inax_config
-from repro.envs.registry import make
+from repro.core.backends import EvaluationBackend, build_backend
 from repro.neat.config import NEATConfig
 
 __all__ = ["PoolExhausted", "BackendLease", "BackendPool"]
@@ -138,13 +136,13 @@ class BackendPool:
                 self.reused += 1
         else:
             try:
-                backend = self._build(
-                    env_name,
+                backend = build_backend(
                     backend_name,
+                    env_name,
                     neat_config,
-                    episodes_per_genome,
-                    workers,
-                    base_seed,
+                    episodes_per_genome=episodes_per_genome,
+                    base_seed=base_seed,
+                    workers=workers,
                 )
             except BaseException:
                 with self._lock:
@@ -153,30 +151,6 @@ class BackendPool:
             with self._lock:
                 self.created += 1
         return BackendLease(backend, key, self)
-
-    def _build(
-        self,
-        env_name: str,
-        backend_name: str,
-        neat_config: NEATConfig,
-        episodes_per_genome: int,
-        workers: int,
-        base_seed: int,
-    ) -> EvaluationBackend:
-        backend_cls = BACKENDS[backend_name]
-        kwargs: dict[str, Any] = dict(
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-        )
-        if issubclass(backend_cls, FastCPUBackend):
-            kwargs["workers"] = workers
-        if backend_name in ("inax", "fabric"):
-            # mirror E3's default device sizing so a pooled inax
-            # backend behaves exactly like a directly-constructed one
-            kwargs["inax_config"] = default_inax_config(
-                make(env_name).num_outputs
-            )
-        return backend_cls(env_name, neat_config, **kwargs)
 
     def _take_idle(self, key: tuple[Any, ...]) -> EvaluationBackend | None:
         """Pop the most recently released idle backend for ``key``."""

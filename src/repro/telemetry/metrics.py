@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The registry is the single store for everything the platform counts —
-episode steps, lock-step wave sizes, decode-cache hits/misses, and the
+episode steps, lock-step wave sizes, compile-cache hits/misses, and the
 per-generation phase seconds that :class:`repro.core.profiler.
 PhaseProfiler` used to be the only home for.  :class:`PhaseTimer`
 re-exposes the profiler's exact API (``record`` / ``phase`` /
@@ -237,7 +237,7 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one.
 
         Counters and histogram counts add; gauges take the incoming
-        value (last write wins).  This is how ``cpu-fast`` worker shards
+        value (last write wins).  This is how ``cpu-compiled`` worker shards
         ship their telemetry back to the parent process.
         """
         for name, state in snapshot.items():

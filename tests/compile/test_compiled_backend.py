@@ -3,9 +3,8 @@
 The determinism contract is the same one every backend signs: identical
 fitness trajectories to ``cpu`` under identical seeds.  On top of that,
 the compiled backend must reuse structures across weight mutations
-(the whole point), report compile-cache stats shaped like the decode
-cache's, emit its telemetry spans, and degrade exactly like
-``cpu-fast`` for non-vectorizable shapes and sharded runs.
+(the whole point), emit its telemetry spans, and keep the oracle's
+bits for non-vectorizable shapes and sharded runs.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.core.backends import (
     BACKENDS,
     CompiledCPUBackend,
     CPUBackend,
-    FastCPUBackend,
 )
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
@@ -110,21 +108,21 @@ class TestParity:
         )
         assert sharded == baseline
 
-    def test_records_match_cpu_fast(self, env_name):
+    def test_records_match_cpu(self, env_name):
         """Workload records (recipe-lowered HW configs, lengths) equal
-        the decode path's."""
+        the per-genome decode path's."""
         cfg = _cfg(env_name)
-        fast = FastCPUBackend(env_name, cfg, base_seed=1)
+        cpu = CPUBackend(env_name, cfg, base_seed=1)
         compiled = CompiledCPUBackend(env_name, cfg, base_seed=1)
         try:
-            fast.evaluate(_genomes(cfg))
+            cpu.evaluate(_genomes(cfg))
             compiled.evaluate(_genomes(cfg))
         finally:
-            fast.close()
+            cpu.close()
             compiled.close()
-        assert fast.records[0].configs == compiled.records[0].configs
+        assert cpu.records[0].configs == compiled.records[0].configs
         assert (
-            fast.records[0].episode_lengths
+            cpu.records[0].episode_lengths
             == compiled.records[0].episode_lengths
         )
 
@@ -182,18 +180,3 @@ class TestObservability:
         assert "compile.cache.hits" in snapshot
         assert "compile.cache.misses" in snapshot
         assert "compile.cache.size" in snapshot
-
-    def test_cache_info_shapes_match(self):
-        """compile_cache_info mirrors cache_info's reporting shape."""
-        cfg = _cfg()
-        backend = CompiledCPUBackend("cartpole", cfg, base_seed=1)
-        try:
-            backend.evaluate(_genomes(cfg))
-            decode = backend.cache_info()
-            compiled = backend.compile_cache_info()
-        finally:
-            backend.close()
-        assert set(compiled) == set(decode)
-        # the compiled path never touches the decode LRU
-        assert decode["hits"] == decode["misses"] == 0
-        assert compiled["misses"] >= 1

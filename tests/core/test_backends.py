@@ -9,7 +9,7 @@ per genome.
 import numpy as np
 import pytest
 
-from repro.core.backends import CPUBackend, FastCPUBackend, INAXBackend
+from repro.core.backends import CompiledCPUBackend, CPUBackend, INAXBackend
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
@@ -142,11 +142,13 @@ class TestINAXBackend:
 
 
 class TestFastCPUBackend:
+    """The fast software path, ``cpu-compiled``, against the oracle."""
+
     def test_single_generation_bitwise_identical_to_cpu(self, cartpole_cfg):
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=5,
                          episodes_per_genome=3)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=5,
-                              episodes_per_genome=3)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=5,
+                                  episodes_per_genome=3)
         gc = _genomes(cartpole_cfg, seed=3)
         gf = _genomes(cartpole_cfg, seed=3)
         cpu.evaluate(gc)
@@ -164,7 +166,7 @@ class TestFastCPUBackend:
             return result
 
         cpu_result = run(CPUBackend("cartpole", cartpole_cfg, base_seed=9))
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=9)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=9)
         fast_result = run(fast)
         fast.close()
         assert [s.best_fitness for s in cpu_result.history] == [
@@ -179,10 +181,10 @@ class TestFastCPUBackend:
         )
 
     def test_sharded_matches_serial(self, cartpole_cfg):
-        serial = FastCPUBackend("cartpole", cartpole_cfg, base_seed=2,
-                                episodes_per_genome=2)
-        sharded = FastCPUBackend("cartpole", cartpole_cfg, base_seed=2,
-                                 episodes_per_genome=2, workers=2)
+        serial = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=2,
+                                    episodes_per_genome=2)
+        sharded = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=2,
+                                     episodes_per_genome=2, workers=2)
         gs = _genomes(cartpole_cfg, seed=1)
         gp = _genomes(cartpole_cfg, seed=1)
         serial.evaluate(gs)
@@ -195,23 +197,12 @@ class TestFastCPUBackend:
             == sharded.records[0].episode_lengths
         )
 
-    def test_decode_cache_hits_across_generations(self, cartpole_cfg):
-        backend = FastCPUBackend("cartpole", cartpole_cfg, base_seed=1)
-        genomes = _genomes(cartpole_cfg)
-        backend.evaluate(genomes)
-        info = backend.cache_info()
-        assert info["hits"] == 0 and info["misses"] == len(genomes)
-        backend.evaluate(genomes)  # e.g. elites carried over unchanged
-        info = backend.cache_info()
-        assert info["hits"] == len(genomes)
-        assert info["misses"] == len(genomes)
-
     def test_cache_capacity_bounded(self, cartpole_cfg):
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole", cartpole_cfg, base_seed=1, cache_size=2
         )
         backend.evaluate(_genomes(cartpole_cfg, n=5))
-        assert backend.cache_info()["size"] == 2
+        assert backend.compile_cache_info()["size"] == 2
 
     def test_unvectorizable_genome_falls_back(self, cartpole_cfg):
         genomes_fast = _genomes(cartpole_cfg, n=4)
@@ -220,7 +211,7 @@ class TestFastCPUBackend:
             node = gs[1].nodes[0]
             node.aggregation = "mean"  # vectorizer only supports sum
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=3)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=3)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=3)
         cpu.evaluate(genomes_cpu)
         fast.evaluate(genomes_fast)
         assert [g.fitness for g in genomes_cpu] == [
@@ -229,25 +220,25 @@ class TestFastCPUBackend:
 
     def test_negative_workers_rejected(self, cartpole_cfg):
         with pytest.raises(ValueError, match="workers"):
-            FastCPUBackend("cartpole", cartpole_cfg, workers=-1)
+            CompiledCPUBackend("cartpole", cartpole_cfg, workers=-1)
 
     def test_close_is_idempotent(self, cartpole_cfg):
-        backend = FastCPUBackend("cartpole", cartpole_cfg)
+        backend = CompiledCPUBackend("cartpole", cartpole_cfg)
         backend.close()
         backend.close()
 
-    def test_e3_accepts_cpu_fast(self):
+    def test_e3_accepts_cpu_compiled(self):
         from repro.core.platform import E3
 
         platform = E3(
             "cartpole",
-            backend="cpu-fast",
+            backend="cpu-compiled",
             neat_config=NEATConfig(population_size=15),
             seed=2,
         )
         result = platform.run(max_generations=1)
         platform.backend.close()
-        assert result.backend_name == "cpu-fast"
+        assert result.backend_name == "cpu-compiled"
 
 
 class TestSeeding:
@@ -277,7 +268,7 @@ class TestSeeding:
 
     def test_deterministic_and_backend_independent(self, cartpole_cfg):
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=6)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=6)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=6)
         inax = INAXBackend("cartpole", cartpole_cfg, base_seed=6)
         g = Genome(key=17)
         assert (

@@ -162,6 +162,60 @@ class TestResumeCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestResumeMatchesContinuous:
+    """A run split by checkpoint + ``repro resume`` prices the same INAX
+    cycles as the uninterrupted run: both build their backend through
+    ``build_backend``, so both get the env's default INAX config (2
+    PEs/PU for CartPole's two outputs)."""
+
+    def test_resumed_cycle_reports_equal_continuous(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.backends import INAXBackend
+        from repro.core.platform import E3
+        from repro.neat.checkpoint import save_checkpoint
+        from repro.neat.config import NEATConfig
+
+        def platform():
+            return E3(
+                "cartpole",
+                backend="inax",
+                neat_config=NEATConfig(population_size=12),
+                seed=1,
+            )
+
+        continuous = platform().run(max_generations=4)
+        assert continuous.generations == 4
+
+        first = platform()
+        head = first.run(max_generations=2)
+        checkpoint = tmp_path / "ckpt.json"
+        save_checkpoint(first.population, checkpoint)
+
+        # the resume command closes its backend when done; keep it
+        resumed_backends = []
+        monkeypatch.setattr(
+            INAXBackend, "close", lambda self: resumed_backends.append(self)
+        )
+        code = main(
+            [
+                "resume", "--checkpoint", str(checkpoint), "--env",
+                "cartpole", "--backend", "inax", "--generations", "2",
+                "--seed", "1", "--quiet",
+            ]
+        )
+        capsys.readouterr()
+        assert code in (0, 2)
+        (resumed_backend,) = resumed_backends
+        resumed = [
+            r.cycle_report for r in head.records + resumed_backend.records
+        ]
+        assert resumed == [r.cycle_report for r in continuous.records]
+        assert sum(r.total_cycles for r in resumed) == sum(
+            r.cycle_report.total_cycles for r in continuous.records
+        )
+
+
 class TestTelemetryFlags:
     def test_run_writes_trace_and_metrics(self, tmp_path, capsys):
         import json
@@ -204,13 +258,13 @@ class TestTelemetryFlags:
     def test_run_prints_cache_summary(self, tmp_path, capsys):
         code = main(
             [
-                "run", "--env", "cartpole", "--backend", "cpu-fast",
+                "run", "--env", "cartpole", "--backend", "cpu-compiled",
                 "--population", "24", "--generations", "2", "--seed", "1",
                 "--quiet", "--metrics", str(tmp_path / "m.json"),
             ]
         )
         assert code in (0, 2)
-        assert "decode cache:" in capsys.readouterr().out
+        assert "compile cache:" in capsys.readouterr().out
 
     def test_resume_appends_csv_and_traces(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt.json"

@@ -11,7 +11,6 @@ import pytest
 from repro.core.backends import (
     CompiledCPUBackend,
     CPUBackend,
-    FastCPUBackend,
     INAXBackend,
 )
 from repro.inax.accelerator import INAXConfig
@@ -23,7 +22,7 @@ from repro.resilience.faults import FaultPlan
 from tests.conftest import evolved_genome
 
 ENVS = ["cartpole", "lunar_lander"]
-BACKENDS = ["cpu", "cpu-fast", "cpu-compiled", "inax"]
+BACKENDS = ["cpu", "cpu-compiled", "inax"]
 
 
 def _cfg(env_name):
@@ -45,8 +44,6 @@ def _backend(name, env_name, cfg, pipeline=None):
     kwargs = dict(base_seed=1)
     if name == "cpu":
         return CPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
-    if name == "cpu-fast":
-        return FastCPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
     if name == "cpu-compiled":
         return CompiledCPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
     return INAXBackend(

@@ -1,12 +1,11 @@
 """Regression: worker cache accounting must not leak between runs.
 
-``_fastcpu_worker_evaluate`` used to diff the worker backend's
-cumulative cache counters against *module-level* reported dicts that
-survived pool re-initialization — so the second run in a process
-inherited the first run's cumulative counts and shipped garbage
-(negative) deltas to its parent.  The state now lives on the
-:class:`~repro.core.backends._WorkerState` object rebuilt by every
-``_fastcpu_worker_init`` call.
+A worker that diffs its backend's cumulative cache counters against
+*module-level* reported dicts surviving pool re-initialization makes
+the second run in a process inherit the first run's cumulative counts
+and ship garbage (negative) deltas to its parent.  The state lives on
+the :class:`~repro.core.backends._WorkerState` object rebuilt by every
+``_worker_init`` call.
 
 The tests drive the worker protocol *in-process* (init + evaluate are
 plain functions; running them here is exactly what a pool worker does
@@ -15,10 +14,7 @@ observe without spawning pools.
 """
 
 from repro.core import backends
-from repro.core.backends import (
-    _fastcpu_worker_evaluate,
-    _fastcpu_worker_init,
-)
+from repro.core.backends import _worker_evaluate, _worker_init
 from repro.core.platform import E3, effective_neat_config
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
@@ -27,7 +23,7 @@ CONFIG = effective_neat_config("cartpole", NEATConfig(population_size=8))
 
 
 def worker_init() -> None:
-    _fastcpu_worker_init(
+    _worker_init(
         env_name="cartpole",
         neat_config=CONFIG,
         episodes_per_genome=1,
@@ -38,7 +34,7 @@ def worker_init() -> None:
 
 
 def evaluate_once(genomes) -> dict:
-    _, telemetry = _fastcpu_worker_evaluate((genomes, False, "gen=0|shard=0"))
+    _, telemetry = _worker_evaluate((genomes, False, "gen=0|shard=0"))
     return telemetry
 
 
@@ -53,14 +49,14 @@ class TestWorkerStateScoping:
     def test_deltas_reset_with_reinitialized_pool(self):
         genomes = sample_genomes()
         worker_init()
-        first = evaluate_once(genomes)["cache_delta"]
+        first = evaluate_once(genomes)["compile_delta"]
         assert first["misses"] > 0
 
         # a second run's pool re-runs the initializer in the same
         # process; its first report must be a fresh, self-contained
         # delta — not a diff against the previous run's totals
         worker_init()
-        second = evaluate_once(genomes)["cache_delta"]
+        second = evaluate_once(genomes)["compile_delta"]
         assert second == first
         assert second["hits"] >= 0
         assert second["misses"] >= 0
@@ -72,9 +68,9 @@ class TestWorkerStateScoping:
         again = evaluate_once(genomes)
         # same genomes, same worker: second call is pure cache hits,
         # and its delta reflects only the activity since the first
-        assert first["cache_delta"]["misses"] > 0
-        assert again["cache_delta"]["misses"] == 0
-        assert again["cache_delta"]["hits"] == len(genomes)
+        assert first["compile_delta"]["misses"] > 0
+        assert again["compile_delta"]["misses"] == 0
+        assert again["compile_delta"]["hits"] == len(genomes)
 
     def test_worker_state_object_is_rebuilt(self):
         worker_init()
@@ -82,7 +78,6 @@ class TestWorkerStateScoping:
         worker_init()
         state_b = backends._WORKER_STATE
         assert state_a is not state_b
-        assert state_b.reported_cache == {"hits": 0, "misses": 0}
         assert state_b.reported_compile == {"hits": 0, "misses": 0}
 
 
@@ -94,12 +89,12 @@ class TestBackToBackRuns:
         def run_once():
             e3 = E3(
                 "cartpole",
-                backend="cpu-fast",
+                backend="cpu-compiled",
                 neat_config=NEATConfig(population_size=8),
                 seed=3,
             )
             result = e3.run(max_generations=2)
-            info = e3.backend.cache_info()
+            info = e3.backend.compile_cache_info()
             history = [s.best_fitness for s in result.history]
             return info, history
 
@@ -120,13 +115,13 @@ class TestBackToBackRuns:
         def run_once():
             e3 = E3(
                 "cartpole",
-                backend="cpu-fast",
+                backend="cpu-compiled",
                 neat_config=NEATConfig(population_size=8),
                 seed=3,
                 workers=2,
             )
             result = e3.run(max_generations=2)
-            info = e3.backend.cache_info()
+            info = e3.backend.compile_cache_info()
             e3.backend.close()
             history = [s.best_fitness for s in result.history]
             return info, history

@@ -136,7 +136,7 @@ class TestMidGenerationKill:
         backend = _fabric(
             devices=1,
             plan_text="seed=0,inax.wedge@1.0",
-            fallback="cpu-fast",
+            fallback="cpu-compiled",
         )
         chaotic = _fitness(backend)
         assert chaotic == clean

@@ -59,6 +59,27 @@ class TestFabricRun:
         assert code == 2
         assert "--devices needs the fabric backend" in capsys.readouterr().out
 
+    def test_resume_rejects_devices_for_software_backends(
+        self, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "ckpt.json"
+        main(
+            ["run", "--env", "cartpole", "--backend", "cpu-compiled",
+             "--population", "12", "--generations", "1", "--seed", "2",
+             "--quiet", "--checkpoint", str(checkpoint)]
+        )
+        capsys.readouterr()
+        code = main(
+            ["resume", "--checkpoint", str(checkpoint), "--env",
+             "cartpole", "--backend", "cpu-compiled", "--devices", "2",
+             "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "error: --devices needs the fabric backend, not "
+            "'cpu-compiled'\n"
+        )
+
     def test_chaos_run_prints_resilience_summary(self, capsys):
         code = main(
             ["run", "--env", "cartpole", "--backend", "fabric",

@@ -272,7 +272,7 @@ class TestFallbackCycleAccounting:
             cfg,
             inax_config=inax_config,
             base_seed=1,
-            fallback="cpu-fast",
+            fallback="cpu-compiled",
             fault_plan=FaultPlan.parse("seed=0,inax.wedge@1.0"),
         )
         genomes = _genomes(cfg)
@@ -313,7 +313,7 @@ class TestFallbackCycleAccounting:
             cfg,
             inax_config=inax_config,
             base_seed=1,
-            fallback="cpu-fast",
+            fallback="cpu-compiled",
             fault_plan=FaultPlan.parse("seed=11,inax.wedge@0.05"),
             pipeline=PipelineConfig(
                 schedule="lpt", prefetch=True, overlap=True

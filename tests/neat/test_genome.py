@@ -215,7 +215,7 @@ class TestStructuralHash:
         assert genome.copy().structural_hash() == genome.structural_hash()
 
     def test_key_and_fitness_ignored(self):
-        """Elites re-keyed across generations must hit the decode cache."""
+        """Elites re-keyed across generations must hash identically."""
         genome = self._genome()
         clone = genome.copy(new_key=genome.key + 100)
         clone.fitness = 123.0

@@ -76,8 +76,8 @@ class TestEquivalence:
 class TestBitwiseParity:
     """The fast path's headline guarantee: not close — *equal*.
 
-    ``cpu-fast``'s claim of a bit-identical fitness trajectory rests on
-    the vectorized forward pass producing the same 64-bit floats as the
+    ``cpu-compiled``'s claim of a bit-identical fitness trajectory rests
+    on the vectorized forward pass producing the same 64-bit floats as the
     interpreted one, for every supported activation.
     """
 
@@ -130,6 +130,48 @@ class TestBitwiseParity:
             # post-rebuild indexing are both exercised
             alive = alive[: len(alive) - 3]
         assert evaluator.rebuilds >= 1
+
+
+class TestNonFiniteInputs:
+    """Faulty sensors feed NaN/inf observations; the vectorized paths
+    must still produce the interpreted path's outputs exactly (NaN in
+    the same places), or fitness diverges across backends under
+    ``env.obs_nan`` chaos."""
+
+    BAD = (np.nan, np.inf, -np.inf)
+
+    @pytest.mark.parametrize("activation", sorted(_VECTOR_ACTIVATIONS))
+    def test_clamps_follow_the_builtin_nan_rule(self, activation):
+        net, rng = _reference(seed=7, activation=activation)
+        fast = vectorize(net)
+        batch = rng.standard_normal((12, 4))
+        batch[np.arange(12), np.arange(12) % 4] = np.resize(self.BAD, 12)
+        expected = np.stack([net.activate(row) for row in batch])
+        np.testing.assert_array_equal(fast.activate_batch(batch), expected)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_padding_never_reads_an_input(self, bad):
+        """Output 1 takes only input -2; padding it to output 0's fan-in
+        must not pull input -1's non-finite value into its sum."""
+        cfg = NEATConfig(num_inputs=2, num_outputs=2)
+        genome = _genome_from_edges(
+            cfg, [(-1, 0, 1.0), (-2, 0, 0.5), (-2, 1, 2.0)]
+        )
+        for node in genome.nodes.values():
+            node.activation = "sigmoid"
+        net = FeedForwardNetwork.create(genome, cfg)
+        x = np.array([bad, 0.25])
+        expected = net.activate(x)
+        assert np.isfinite(expected[1])
+        np.testing.assert_array_equal(vectorize(net).activate(x), expected)
+        outputs = infer_by_slot(
+            PopulationEvaluator([vectorize(net), vectorize(net)]).infer,
+            {0: x, 1: np.array([0.5, bad])},
+        )
+        np.testing.assert_array_equal(outputs[0], expected)
+        np.testing.assert_array_equal(
+            outputs[1], net.activate(np.array([0.5, bad]))
+        )
 
 
 class TestValidation:

@@ -136,28 +136,28 @@ class TestSpeciesCollapse:
 
 
 class TestCacheCollapse:
-    def test_decode_collapse_after_warmup(self):
+    def test_compile_collapse_after_warmup(self):
         config = HealthConfig(
             cache_warmup_generations=2, cache_min_lookups=10
         )
         # healthy hit rates, then a collapse at gen 3
         samples = [
             GenerationSample(
-                generation=0, cache_hits=0.0, cache_misses=20.0
+                generation=0, compile_hits=0.0, compile_misses=20.0
             ),
             GenerationSample(
-                generation=1, cache_hits=18.0, cache_misses=22.0
+                generation=1, compile_hits=18.0, compile_misses=22.0
             ),
             GenerationSample(
-                generation=2, cache_hits=36.0, cache_misses=24.0
+                generation=2, compile_hits=36.0, compile_misses=24.0
             ),
             GenerationSample(
-                generation=3, cache_hits=37.0, cache_misses=43.0
+                generation=3, compile_hits=37.0, compile_misses=43.0
             ),
         ]
         events = _named(_events(samples, config), "cache.hit_rate")
         assert len(events) == 1
-        assert events[0].site == "gen=3|cache=decode"
+        assert events[0].site == "gen=3|cache=compile"
         assert events[0].evidence["hit_rate"] == pytest.approx(0.05)
 
     def test_warmup_generations_ignored(self):
@@ -165,8 +165,8 @@ class TestCacheCollapse:
         samples = [
             GenerationSample(
                 generation=g,
-                cache_hits=0.0,
-                cache_misses=float(20 * (g + 1)),
+                compile_hits=0.0,
+                compile_misses=float(20 * (g + 1)),
             )
             for g in range(4)
         ]
@@ -179,8 +179,6 @@ class TestCacheCollapse:
         samples = [
             GenerationSample(
                 generation=0,
-                cache_hits=50.0,
-                cache_misses=10.0,
                 compile_hits=0.0,
                 compile_misses=40.0,
             ),

@@ -66,12 +66,12 @@ class TestBuildSample:
             records = [FakeRecord()]
             pipeline = FakePipeline()
 
-            def cache_info(self):
+            def compile_cache_info(self):
                 return {"hits": 7, "misses": 3, "size": 5}
 
         sample = build_sample(_stats(), FakeBackend())
-        assert sample.cache_hits == 7.0
-        assert sample.cache_misses == 3.0
+        assert sample.compile_hits == 7.0
+        assert sample.compile_misses == 3.0
         assert sample.waves == 3
         assert sample.setup_cycles == 100.0
         assert sample.prefetch_hidden_cycles == 40.0

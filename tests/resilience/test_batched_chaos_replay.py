@@ -84,7 +84,7 @@ def chaos_payload() -> bytes:
         cfg,
         inax_config=INAXConfig(num_pus=5, num_pes_per_pu=4),
         base_seed=11,
-        fallback="cpu-fast",
+        fallback="cpu-compiled",
         fault_plan=FaultPlan.parse(PLAN),
     )
     generations = []

@@ -13,7 +13,7 @@ real backends on CartPole:
 import numpy as np
 import pytest
 
-from repro.core.backends import CPUBackend, FastCPUBackend, INAXBackend
+from repro.core.backends import CompiledCPUBackend, CPUBackend, INAXBackend
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
@@ -61,10 +61,10 @@ class TestWorkerChaosTransparency:
     def test_worker_error_chaos_is_bit_identical(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
         # every attempt errors -> retries exhaust -> in-process degrade
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -82,11 +82,11 @@ class TestWorkerChaosTransparency:
     def test_worker_crash_chaos_is_bit_identical(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
         # seed=3 crashes shard 0 at attempt 0 and nothing at attempt 1,
         # so the watchdog fires exactly once and the retry succeeds
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -104,9 +104,9 @@ class TestWorkerChaosTransparency:
     def test_disabled_supervisor_still_completes(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -131,7 +131,7 @@ class TestReplayability:
         logs = []
         fitnesses = []
         for _ in range(2):
-            backend = FastCPUBackend(
+            backend = CompiledCPUBackend(
                 "cartpole",
                 cfg,
                 base_seed=1,
@@ -154,7 +154,7 @@ class TestReplayability:
                 cfg,
                 inax_config=INAXConfig(num_pus=3, num_pes_per_pu=2),
                 base_seed=1,
-                fallback="cpu-fast",
+                fallback="cpu-compiled",
                 fault_plan=FaultPlan.parse("seed=11,inax.wedge@0.05"),
             )
             _fitness(backend, cfg)
@@ -179,7 +179,7 @@ class TestINAXDegradation:
             cfg,
             inax_config=INAXConfig(num_pus=3, num_pes_per_pu=2),
             base_seed=1,
-            fallback="cpu-fast",
+            fallback="cpu-compiled",
             fault_plan=FaultPlan.parse("seed=0,inax.wedge@1.0"),
         )
         chaotic = _fitness(backend, cfg)
@@ -216,7 +216,7 @@ class TestINAXDegradation:
             ),
             base_seed=1,
             oversize_policy="raise",
-            fallback="cpu-fast",
+            fallback="cpu-compiled",
         )
         degraded = _fitness(backend, cfg)
         assert degraded == clean
@@ -256,7 +256,7 @@ class TestQuarantineEndToEnd:
             cfg,
         )
         fast = _fitness(
-            FastCPUBackend(
+            CompiledCPUBackend(
                 "cartpole",
                 cfg,
                 base_seed=1,
@@ -271,8 +271,10 @@ class TestQuarantineEndToEnd:
 class TestReporterColumns:
     def test_fastcpu_columns(self):
         cfg = _cfg()
-        inprocess = FastCPUBackend("cartpole", cfg, base_seed=1, workers=0)
-        sharded = FastCPUBackend("cartpole", cfg, base_seed=1, workers=2)
+        inprocess = CompiledCPUBackend(
+            "cartpole", cfg, base_seed=1, workers=0
+        )
+        sharded = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=2)
         try:
             # supervision columns only appear when sharding is possible
             assert set(inprocess.reporter_columns()) == {"quarantined"}
@@ -288,7 +290,9 @@ class TestReporterColumns:
     def test_inax_columns_gain_fallback_when_armed(self):
         cfg = _cfg()
         plain = INAXBackend("cartpole", cfg, base_seed=1)
-        armed = INAXBackend("cartpole", cfg, base_seed=1, fallback="cpu-fast")
+        armed = INAXBackend(
+            "cartpole", cfg, base_seed=1, fallback="cpu-compiled"
+        )
         assert set(plain.reporter_columns()) == {
             "quarantined",
             "oversize",

@@ -19,7 +19,7 @@ CONFIG = NEATConfig(population_size=8)
 GENERATIONS = 3
 
 
-def run_history(seed: int, backend: str = "cpu-fast",
+def run_history(seed: int, backend: str = "cpu-compiled",
                 population_size: int = 8,
                 session: TelemetrySession | None = None) -> list[float]:
     result = E3(
@@ -84,7 +84,7 @@ class TestInterleavedService:
                 seed: await service.submit(
                     JobSpec(env="cartpole", population_size=8,
                             generations=GENERATIONS, seed=seed,
-                            backend="cpu-fast")
+                            backend="cpu-compiled")
                 )
                 for seed in (5, 6, 7)
             }

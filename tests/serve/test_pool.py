@@ -20,10 +20,10 @@ class TestLeasing:
     def test_fresh_then_reused(self):
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
-        lease = pool.lease("cartpole", "cpu-fast", config)
+        lease = pool.lease("cartpole", "cpu-compiled", config)
         first_backend = lease.backend
         lease.release()
-        again = pool.lease("cartpole", "cpu-fast", config)
+        again = pool.lease("cartpole", "cpu-compiled", config)
         assert again.backend is first_backend
         assert pool.stats()["created"] == 1
         assert pool.stats()["reused"] == 1
@@ -31,14 +31,14 @@ class TestLeasing:
     def test_key_mismatch_builds_fresh(self):
         pool = BackendPool(max_leases=4)
         config = effective_neat_config("cartpole", CONFIG)
-        a = pool.lease("cartpole", "cpu-fast", config)
+        a = pool.lease("cartpole", "cpu-compiled", config)
         a.release()
         b = pool.lease("cartpole", "cpu", config)  # different backend
         assert b.backend is not a.backend
         other = effective_neat_config(
             "cartpole", NEATConfig(population_size=12)
         )
-        c = pool.lease("cartpole", "cpu-fast", other)  # different config
+        c = pool.lease("cartpole", "cpu-compiled", other)  # different config
         assert c.backend is not a.backend
 
     def test_capacity_raises_instead_of_blocking(self):
@@ -53,10 +53,10 @@ class TestLeasing:
     def test_discard_drops_backend(self):
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
-        lease = pool.lease("cartpole", "cpu-fast", config)
+        lease = pool.lease("cartpole", "cpu-compiled", config)
         broken = lease.backend
         lease.release(discard=True)
-        fresh = pool.lease("cartpole", "cpu-fast", config)
+        fresh = pool.lease("cartpole", "cpu-compiled", config)
         assert fresh.backend is not broken
         assert pool.stats()["discarded"] == 1
 
@@ -93,15 +93,15 @@ class TestIdleRetention:
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
         older = pool.lease("cartpole", "cpu", config)
-        newer = pool.lease("cartpole", "cpu-fast", config)
+        newer = pool.lease("cartpole", "cpu-compiled", config)
         older.release()
         newer.release()
-        third = pool.lease("cartpole", "cpu-compiled", config)
+        third = pool.lease("cartpole", "gpu", config)
         stats = pool.stats()
         assert stats["discarded"] == 1
         assert stats["idle"] + stats["active"] == 2
         # the most recently released backend survived the eviction
-        again = pool.lease("cartpole", "cpu-fast", config)
+        again = pool.lease("cartpole", "cpu-compiled", config)
         assert again.backend is newer.backend
         third.release()
         again.release()
@@ -111,31 +111,31 @@ class TestResetRunState:
     def test_reused_backend_starts_clean(self):
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
-        lease = pool.lease("cartpole", "cpu-fast", config, base_seed=0)
+        lease = pool.lease("cartpole", "cpu-compiled", config, base_seed=0)
         run_fitness_history(lease.backend, seed=0)
         assert lease.backend.records  # first run accumulated state
-        assert lease.backend.cache_info()["hits"] > 0
+        assert lease.backend.compile_cache_info()["hits"] > 0
         lease.release()
-        again = pool.lease("cartpole", "cpu-fast", config, base_seed=1)
+        again = pool.lease("cartpole", "cpu-compiled", config, base_seed=1)
         backend = again.backend
         assert backend.records == []
         assert backend._generation == 0
-        assert backend.cache_info()["hits"] == 0
-        assert backend.cache_info()["misses"] == 0
+        assert backend.compile_cache_info()["hits"] == 0
+        assert backend.compile_cache_info()["misses"] == 0
         assert backend.base_seed == 1
         # structural cache entries deliberately survive the reset
-        assert backend.cache_info()["size"] > 0
+        assert backend.compile_cache_info()["size"] > 0
 
     def test_reused_backend_is_bit_identical_to_fresh(self):
         # the acceptance contract: a leased backend that already ran a
         # different job produces the same bits a fresh backend would
-        fresh = run_fitness_history("cpu-fast", seed=3)
+        fresh = run_fitness_history("cpu-compiled", seed=3)
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
-        lease = pool.lease("cartpole", "cpu-fast", config, base_seed=11)
+        lease = pool.lease("cartpole", "cpu-compiled", config, base_seed=11)
         run_fitness_history(lease.backend, seed=11)  # pollute with job A
         lease.release()
-        again = pool.lease("cartpole", "cpu-fast", config, base_seed=3)
+        again = pool.lease("cartpole", "cpu-compiled", config, base_seed=3)
         reused = run_fitness_history(again.backend, seed=3)
         assert reused == fresh
 
@@ -151,6 +151,32 @@ class TestResetRunState:
         assert info["hits"] == 0
         assert info["misses"] == 0
         assert info["size"] > 0  # compiled structures stay warm
+
+    def test_pooled_cycle_report_matches_fresh(self):
+        """Pooled and fresh backends come out of the same factory, so a
+        pooled cpu-compiled lease prices the same analytic INAX cycles
+        as ``E3(..., backend="cpu-compiled")``."""
+        config = NEATConfig(population_size=8)
+        fresh = E3(
+            "lunar_lander", backend="cpu-compiled", neat_config=config,
+            seed=4,
+        ).run(max_generations=2)
+        pool = BackendPool(max_leases=1)
+        lease = pool.lease(
+            "lunar_lander",
+            "cpu-compiled",
+            effective_neat_config("lunar_lander", config),
+            base_seed=4,
+        )
+        pooled = E3(
+            "lunar_lander", backend=lease.backend, neat_config=config,
+            seed=4,
+        ).run(max_generations=2)
+        lease.release()
+        pool.close()
+        reports = [record.cycle_report for record in pooled.records]
+        assert None not in reports
+        assert reports == [record.cycle_report for record in fresh.records]
 
     def test_close_closes_idle_backends(self):
         pool = BackendPool(max_leases=2)

@@ -50,7 +50,7 @@ def daemon(tmp_path):
 
 
 SMALL = {"env": "cartpole", "population_size": 8, "generations": 3,
-         "backend": "cpu-fast"}
+         "backend": "cpu-compiled"}
 
 
 class TestProtocol:

@@ -13,7 +13,7 @@ from repro.serve import (
 )
 
 SMALL = dict(env="cartpole", population_size=8, generations=3,
-             backend="cpu-fast")
+             backend="cpu-compiled")
 
 
 def run_async(coro):

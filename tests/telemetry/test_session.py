@@ -168,7 +168,7 @@ class TestPlatformIntegration:
         """Acceptance: trace-summary phase fractions within 1% of the
         profiler's fractions()."""
         session = TelemetrySession()
-        result = _run("cpu-fast", telemetry=session)
+        result = _run("cpu-compiled", telemetry=session)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(path, session.tracer, metrics=session.metrics)
         summary = summarize_trace(path)
@@ -180,16 +180,16 @@ class TestPlatformIntegration:
 
     def test_metrics_cover_episodes_and_cache(self):
         session = TelemetrySession()
-        _run("cpu-fast", telemetry=session)
+        _run("cpu-compiled", telemetry=session)
         snapshot = session.metrics.snapshot()
         assert snapshot["episode.steps"]["count"] > 0
         assert snapshot["rollout.wave_size"]["count"] > 0
-        assert "fastcpu.cache.hits" in snapshot
+        assert "compile.cache.hits" in snapshot
         assert snapshot["neat.generations"]["value"] == 3
 
     def test_worker_shards_ship_telemetry(self):
         session = TelemetrySession()
-        _run("cpu-fast", telemetry=session, workers=2)
+        _run("cpu-compiled", telemetry=session, workers=2)
         snapshot = session.metrics.snapshot()
         assert snapshot["fastcpu.shard.evaluate_seconds"]["value"] > 0
         assert snapshot["fastcpu.shard.genomes"]["count"] > 0
@@ -199,8 +199,8 @@ class TestPlatformIntegration:
 
     def test_telemetry_does_not_change_evolution(self):
         """Acceptance: identical fitness trajectory with telemetry on."""
-        bare = _run("cpu-fast")
-        traced = _run("cpu-fast", telemetry=TelemetrySession())
+        bare = _run("cpu-compiled")
+        traced = _run("cpu-compiled", telemetry=TelemetrySession())
         assert [s.best_fitness for s in bare.history] == [
             s.best_fitness for s in traced.history
         ]
