@@ -732,9 +732,6 @@ def _cmd_resume(args) -> int:
     session = _telemetry_session(args, "resume")
     if session is not None:
         session.manifest.extra["checkpoint"] = args.checkpoint
-        # the restored population has a null recorder; route its phase
-        # timings into the session's registry
-        population.profiler = session.phase_timer
         session.install()
     monitor = _health_monitor(args)
     if monitor is not None:

@@ -30,7 +30,6 @@ from repro.core.experiment import (
     run_experiment,
 )
 from repro.core.platform import E3, E3RunResult, default_inax_config
-from repro.core.profiler import PhaseProfiler
 from repro.core.suite import (
     BENCH_SETTINGS,
     PAPER_SETTINGS,
@@ -43,6 +42,7 @@ from repro.core.results import (
     format_table,
     to_json,
 )
+from repro.telemetry.metrics import PhaseProfiler
 
 __all__ = [
     "BACKENDS",

@@ -948,10 +948,10 @@ class CompiledCPUBackend(EvaluationBackend):
                     "compile_size"
                 ]
             if registry is not None:
-                registry.counter("fastcpu.shard.evaluate_seconds").inc(
+                registry.counter("shard.evaluate_seconds").inc(
                     payload["seconds"]
                 )
-                registry.histogram("fastcpu.shard.genomes").observe(
+                registry.histogram("shard.genomes").observe(
                     payload["genomes"]
                 )
                 if payload.get("metrics"):

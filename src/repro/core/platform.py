@@ -17,7 +17,6 @@ from repro.core.backends import (
     build_backend,
     default_inax_config,
 )
-from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
@@ -26,7 +25,7 @@ from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import GenerationStats, Population
 from repro.telemetry import RunManifest, TelemetrySession
-from repro.telemetry.metrics import TeeRecorder
+from repro.telemetry.metrics import PhaseProfiler
 
 __all__ = [
     "E3",
@@ -200,19 +199,14 @@ class E3:
             or self.backend.inax_config
             or default_inax_config(env.num_outputs)
         )
-        recorder = (
-            self.profiler
-            if telemetry is None
-            else TeeRecorder(self.profiler, telemetry.phase_timer)
-        )
         if population is not None:
-            population.profiler = recorder
+            population.profiler = self.profiler
             self.population = population
         else:
             self.population = Population(
                 self.neat_config,
                 seed=seed,
-                profiler=recorder,
+                profiler=self.profiler,
                 seed_genome=seed_genome,
             )
         if hasattr(self.backend, "reporter_columns"):

@@ -27,11 +27,9 @@ randomness — the property the chaos determinism suite pins down.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.backends import build_backend
-from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.fabric.topology import FarmTopology
 from repro.inax.accelerator import INAXConfig
@@ -41,7 +39,7 @@ from repro.neat.genome import Genome
 from repro.neat.population import GenerationStats, Population
 from repro.resilience.faults import ResilienceEvent, emit_event
 from repro.telemetry import RunManifest, TelemetrySession
-from repro.telemetry.metrics import TeeRecorder, get_metrics
+from repro.telemetry.metrics import PhaseProfiler, get_metrics
 from repro.telemetry.spans import span as _span
 
 __all__ = ["IslandModel", "IslandRunResult", "KEY_STRIDE", "island_seed"]
@@ -140,11 +138,6 @@ class IslandModel:
         )
         self.inax_config = self.backend.inax_config
 
-        recorder = (
-            self.profiler
-            if telemetry is None
-            else TeeRecorder(self.profiler, telemetry.phase_timer)
-        )
         total = self.neat_config.population_size
         share, remainder = divmod(total, topology.islands)
         self.islands: list[Population] = []
@@ -154,7 +147,7 @@ class IslandModel:
                 Population(
                     replace(self.neat_config, population_size=size),
                     seed=island_seed(seed, index),
-                    profiler=recorder,
+                    profiler=self.profiler,
                     key_offset=index * KEY_STRIDE,
                 )
             )
@@ -241,15 +234,13 @@ class IslandModel:
         """One farm generation: evaluate, observe, migrate, evolve."""
         generation = self.islands[0].generation
         genomes = [g for pop in self.islands for g in pop.population]
-        t0 = time.perf_counter()
-        with _span(
-            "phase.evaluate",
+        with self.profiler.phase(
+            "evaluate",
             generation=generation,
             population=len(genomes),
             islands=len(self.islands),
         ):
             self.backend.evaluate(genomes)
-        self.profiler.record("evaluate", time.perf_counter() - t0)
 
         bests = [pop.observe_evaluated() for pop in self.islands]
         self._record_aggregate(generation, bests)

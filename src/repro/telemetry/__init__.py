@@ -8,9 +8,10 @@ instrumentation layer those artifacts flow through:
 * :mod:`repro.telemetry.spans` — nestable context-manager spans on a
   monotonic clock, recorded into a bounded in-memory tracer;
 * :mod:`repro.telemetry.metrics` — counters / gauges / fixed-bucket
-  histograms, plus :class:`~repro.telemetry.metrics.PhaseTimer`, which
-  subsumes :class:`repro.core.profiler.PhaseProfiler` behind the same
-  API;
+  histograms, plus :class:`~repro.telemetry.metrics.PhaseProfiler`, the
+  one host-phase clock whose single reading per boundary feeds the
+  ``phase.*`` span, the ``phase.*_seconds`` counter and the run's
+  profile;
 * :mod:`repro.telemetry.export` — JSONL and Chrome trace-event sinks
   and the ``trace-summary`` table builder;
 * :mod:`repro.telemetry.manifest` — the run manifest emitted at run
@@ -50,8 +51,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PhaseTimer,
-    TeeRecorder,
+    PhaseProfiler,
     get_metrics,
     set_metrics,
 )
@@ -67,8 +67,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "TeeRecorder",
+    "PhaseProfiler",
     "get_metrics",
     "set_metrics",
     "RunManifest",
@@ -113,7 +112,6 @@ class TelemetrySession:
         self.tracer = Tracer(max_spans=max_spans)
         self.metrics = MetricsRegistry()
         self.manifest = manifest
-        self.phase_timer = PhaseTimer(self.metrics)
         self._previous: tuple[Tracer | None, MetricsRegistry | None] | None = None
 
     # --------------------------------------------------------- lifecycle

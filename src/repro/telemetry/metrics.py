@@ -2,12 +2,11 @@
 
 The registry is the single store for everything the platform counts —
 episode steps, lock-step wave sizes, compile-cache hits/misses, and the
-per-generation phase seconds that :class:`repro.core.profiler.
-PhaseProfiler` used to be the only home for.  :class:`PhaseTimer`
-re-exposes the profiler's exact API (``record`` / ``phase`` /
-``fractions`` / ``merge``) on top of registry counters, so phase
-timing, cache statistics, and workload histograms all land in one
-snapshot and one exported JSON file.
+per-generation ``phase.<name>_seconds`` totals.  :class:`PhaseProfiler`
+is the one host-phase clock: each phase boundary is read once, and that
+reading feeds the profiler's own totals, the ``phase.<name>`` span and
+the registry counter, so phase timing, cache statistics, and workload
+histograms all land in one snapshot and one exported JSON file.
 
 Like the tracer, the registry is off by default: call sites check the
 module-level :func:`get_metrics` for ``None`` before touching any
@@ -21,15 +20,16 @@ import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar, cast
+from typing import Any, Callable, Iterator, Sequence, TypeVar, cast
+
+from repro.telemetry.spans import get_tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "TeeRecorder",
+    "PhaseProfiler",
     "get_metrics",
     "set_metrics",
 ]
@@ -263,94 +263,74 @@ class MetricsRegistry:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 
 
-class PhaseTimer:
-    """:class:`~repro.core.profiler.PhaseProfiler`'s API over a registry.
+class PhaseProfiler:
+    """Seconds per named host phase, timed once per boundary.
 
-    Each phase becomes a ``<prefix>.<phase>_seconds`` counter, so the
-    Fig 1(b)/9(d) phase breakdown ships in the same metrics snapshot as
-    everything else while existing ``fractions()`` consumers keep
-    working unchanged.
+    The NEAT population times ``evaluate`` / ``stagnation`` /
+    ``reproduce`` / ``speciate`` / ``overlap`` through :meth:`phase`;
+    Fig 1(b) (NEAT's evaluate-dominated profile) and Fig 9(d) (E3's
+    balanced profile after acceleration) are both :meth:`fractions`
+    over different platforms.  Each reading lands in up to three sinks:
+    this profiler's totals, the installed tracer's ``phase.<name>``
+    span, and the installed registry's ``phase.<name>_seconds`` counter
+    — all the same float, so the trace, the metrics snapshot and
+    :attr:`phases` agree bit for bit.
     """
 
-    PREFIX = "phase"
-    SUFFIX = "_seconds"
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def _counter_name(self, phase: str) -> str:
-        return f"{self.PREFIX}.{phase}{self.SUFFIX}"
+    def __init__(self) -> None:
+        self._seconds: dict[str, float] = {}
 
     def record(self, phase: str, seconds: float) -> None:
+        """Add ``seconds`` to ``phase`` and to the installed registry's
+        ``phase.<phase>_seconds`` counter (creates both on first use)."""
         if seconds < 0:
             raise ValueError(f"negative duration for {phase!r}: {seconds}")
-        self.registry.counter(self._counter_name(phase)).inc(seconds)
+        self._seconds[phase] = self._seconds.get(phase, 0.0) + seconds
+        registry = get_metrics()
+        if registry is not None:
+            registry.counter(f"phase.{phase}_seconds").inc(seconds)
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
+    def phase(self, name: str, **attrs: Any) -> Iterator[None]:
+        """Time a block into ``name``: one clock reading per boundary.
+
+        With a tracer installed the block is a ``phase.<name>`` span
+        carrying ``attrs``, and the span's own duration is recorded;
+        otherwise ``perf_counter`` is read at entry and exit.
+        """
+        tracer = get_tracer()
+        if tracer is None:
+            t0 = time.perf_counter()
+            try:
+                yield
+            finally:
+                self.record(name, time.perf_counter() - t0)
+            return
         try:
-            yield
+            with tracer.span(f"phase.{name}", **attrs) as span:
+                yield
         finally:
-            self.record(name, time.perf_counter() - t0)
+            self.record(name, span.duration)
 
     # ------------------------------------------------------------- views
     @property
     def phases(self) -> dict[str, float]:
-        prefix = f"{self.PREFIX}."
-        out: dict[str, float] = {}
-        for name in self.registry.names():
-            if name.startswith(prefix) and name.endswith(self.SUFFIX):
-                phase = name[len(prefix) : -len(self.SUFFIX)]
-                out[phase] = self.registry.counter(name).value
-        return out
+        """Copy of the phase -> seconds mapping."""
+        return dict(self._seconds)
 
     def seconds(self, phase: str) -> float:
-        return self.phases.get(phase, 0.0)
+        return self._seconds.get(phase, 0.0)
 
     @property
     def total(self) -> float:
-        return sum(self.phases.values())
+        return sum(self._seconds.values())
 
     def fractions(self) -> dict[str, float]:
-        phases = self.phases
-        total = sum(phases.values())
+        """Phase fractions of total time (a Fig 1(b)-style pie)."""
+        total = self.total
         if total <= 0:
-            return {k: 0.0 for k in phases}
-        return {k: v / total for k, v in phases.items()}
-
-    def merge(self, other: "_HasPhases") -> None:
-        """Accumulate another PhaseTimer/PhaseProfiler's phases."""
-        for phase, seconds in other.phases.items():
-            self.record(phase, seconds)
-
-
-class _HasPhases(Protocol):
-    """Anything exposing a ``phases`` mapping (PhaseTimer, PhaseProfiler)."""
-
-    @property
-    def phases(self) -> dict[str, float]: ...
-
-
-class _PhaseRecorder(Protocol):
-    """Anything accepting ``record(phase, seconds)`` calls."""
-
-    def record(self, phase: str, seconds: float) -> None: ...
-
-
-class TeeRecorder:
-    """Fan one ``record(phase, seconds)`` out to several recorders.
-
-    Lets the population keep feeding its :class:`PhaseProfiler` while a
-    telemetry session's :class:`PhaseTimer` sees the same stream.
-    """
-
-    def __init__(self, *recorders: _PhaseRecorder) -> None:
-        self.recorders: tuple[_PhaseRecorder, ...] = tuple(recorders)
-
-    def record(self, phase: str, seconds: float) -> None:
-        for recorder in self.recorders:
-            recorder.record(phase, seconds)
+            return {k: 0.0 for k in self._seconds}
+        return {k: v / total for k, v in self._seconds.items()}
 
 
 # ------------------------------------------------------------------ global

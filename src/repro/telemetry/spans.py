@@ -108,29 +108,31 @@ class Tracer:
     @contextmanager
     def span(
         self, name: str, track: str = "host", **attrs: Any
-    ) -> Iterator[None]:
-        """Time a block as a span; nesting sets the parent linkage."""
+    ) -> Iterator[Span]:
+        """Time a block as a span; nesting sets the parent linkage.
+
+        Yields the :class:`Span`, whose ``duration`` is set on exit."""
         span_id = self._next_id
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
+        recorded = Span(
+            name=name,
+            start=0.0,
+            duration=0.0,
+            span_id=span_id,
+            parent_id=parent,
+            track=track,
+            attrs=attrs,
+        )
         t0 = time.perf_counter()
+        recorded.start = t0 - self._epoch
         try:
-            yield
+            yield recorded
         finally:
-            duration = time.perf_counter() - t0
+            recorded.duration = time.perf_counter() - t0
             self._stack.pop()
-            self._append(
-                Span(
-                    name=name,
-                    start=t0 - self._epoch,
-                    duration=duration,
-                    span_id=span_id,
-                    parent_id=parent,
-                    track=track,
-                    attrs=attrs,
-                )
-            )
+            self._append(recorded)
 
     def add_span(
         self,
@@ -218,10 +220,10 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 
 def span(
     name: str, track: str = "host", **attrs: Any
-) -> AbstractContextManager[None]:
+) -> AbstractContextManager[Span | None]:
     """Module-level span helper with a near-zero disabled fast path.
 
-    ``with span("phase.evaluate", generation=g): ...`` records into the
+    ``with span("backend.evaluate", generation=g): ...`` records into the
     installed tracer, or is a shared no-op context manager when none is
     installed.
     """

@@ -267,6 +267,10 @@ class TestTelemetryFlags:
         assert "compile cache:" in capsys.readouterr().out
 
     def test_resume_appends_csv_and_traces(self, tmp_path, capsys):
+        import json
+
+        from repro.telemetry.export import summarize_trace
+
         checkpoint = tmp_path / "ckpt.json"
         csv = tmp_path / "log.csv"
         main(
@@ -279,11 +283,13 @@ class TestTelemetryFlags:
         rows_before = csv.read_text().strip().splitlines()
         capsys.readouterr()
         trace = tmp_path / "resume.jsonl"
+        metrics = tmp_path / "resume.json"
         code = main(
             [
                 "resume", "--checkpoint", str(checkpoint),
                 "--env", "cartpole", "--generations", "2", "--quiet",
                 "--csv", str(csv), "--trace", str(trace),
+                "--metrics", str(metrics),
             ]
         )
         assert code in (0, 2)
@@ -292,7 +298,13 @@ class TestTelemetryFlags:
         assert rows_after[: len(rows_before)] == rows_before
         assert len(rows_after) > len(rows_before)
         assert sum(r.startswith("generation,") for r in rows_after) == 1
-        assert trace.exists()
+        # the resumed population's phases reach both sinks from one clock
+        summary = summarize_trace(trace)
+        snapshot = json.loads(metrics.read_text())["metrics"]
+        assert (
+            snapshot["phase.evaluate_seconds"]["value"]
+            == summary.phase_seconds["evaluate"]
+        )
 
 
 class TestTraceSummaryCommand:

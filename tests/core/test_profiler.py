@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core.profiler import PhaseProfiler
+from repro.core import PhaseProfiler
 
 
 def test_record_accumulates():
@@ -48,17 +48,6 @@ def test_context_manager_records_on_exception():
         with p.phase("boom"):
             raise RuntimeError("x")
     assert "boom" in p.phases
-
-
-def test_merge_and_reset():
-    a, b = PhaseProfiler(), PhaseProfiler()
-    a.record("x", 1.0)
-    b.record("x", 2.0)
-    b.record("y", 3.0)
-    a.merge(b)
-    assert a.seconds("x") == 3.0 and a.seconds("y") == 3.0
-    a.reset()
-    assert a.total == 0.0
 
 
 def test_phases_returns_copy():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.profiler import PhaseProfiler
+from repro.core import PhaseProfiler
 from repro.neat.config import NEATConfig
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population

@@ -1,18 +1,17 @@
-"""Unit tests for the metrics registry and PhaseTimer."""
+"""Unit tests for the metrics registry and PhaseProfiler."""
 
 import pytest
 
-from repro.core.profiler import PhaseProfiler
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    PhaseTimer,
-    TeeRecorder,
+    PhaseProfiler,
     get_metrics,
     set_metrics,
 )
+from repro.telemetry.spans import Tracer, get_tracer, set_tracer
 
 
 class TestPrimitives:
@@ -95,57 +94,125 @@ class TestRegistry:
             MetricsRegistry().merge_snapshot({"x": {"kind": "mystery"}})
 
 
-class TestPhaseTimer:
-    def test_profiler_api_parity(self):
+class TestPhaseProfiler:
+    @pytest.fixture
+    def sinks(self):
+        """Install a fresh tracer and registry; restore on teardown."""
+        tracer, registry = Tracer(), MetricsRegistry()
+        previous = set_tracer(tracer), set_metrics(registry)
+        try:
+            yield tracer, registry
+        finally:
+            set_tracer(previous[0])
+            set_metrics(previous[1])
+
+    def test_record_and_fractions(self, sinks):
+        _, registry = sinks
         profiler = PhaseProfiler()
-        timer = PhaseTimer()
-        for recorder in (profiler, timer):
-            recorder.record("evaluate", 3.0)
-            recorder.record("speciate", 1.0)
-            recorder.record("evaluate", 1.0)
-        assert timer.phases == profiler.phases
-        assert timer.fractions() == profiler.fractions()
-        assert timer.total == profiler.total == 5.0
-        assert timer.seconds("evaluate") == 4.0
-        assert timer.seconds("missing") == 0.0
+        profiler.record("evaluate", 3.0)
+        profiler.record("speciate", 1.0)
+        profiler.record("evaluate", 1.0)
+        assert profiler.phases == {"evaluate": 4.0, "speciate": 1.0}
+        assert profiler.fractions() == {"evaluate": 0.8, "speciate": 0.2}
+        assert profiler.total == 5.0
+        assert profiler.seconds("missing") == 0.0
+        # the installed registry sees the same stream
+        assert registry.counter("phase.evaluate_seconds").value == 4.0
+        assert registry.counter("phase.speciate_seconds").value == 1.0
 
-    def test_phase_context_manager(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            pass
-        assert timer.phases.keys() == {"work"}
-        assert timer.seconds("work") >= 0.0
-
-    def test_negative_duration_rejected(self):
+    def test_negative_duration_rejected(self, sinks):
+        _, registry = sinks
+        profiler = PhaseProfiler()
         with pytest.raises(ValueError):
-            PhaseTimer().record("x", -0.1)
+            profiler.record("x", -0.1)
+        assert profiler.phases == {}
+        assert registry.names() == []
 
-    def test_merge_accepts_profiler(self):
+    def test_phase_without_sinks_records_no_span_or_counter(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        assert get_tracer() is None and get_metrics() is None
         profiler = PhaseProfiler()
-        profiler.record("evaluate", 2.0)
-        timer = PhaseTimer()
-        timer.record("evaluate", 1.0)
-        timer.merge(profiler)
-        assert timer.seconds("evaluate") == 3.0
+        with profiler.phase("work", generation=0):
+            pass
+        assert profiler.phases.keys() == {"work"}
+        assert profiler.seconds("work") >= 0.0
+        assert len(tracer) == 0
+        assert registry.names() == []
 
-    def test_backed_by_registry_counters(self):
+    def test_phase_with_tracer_and_registry_shares_one_reading(self, sinks):
+        tracer, registry = sinks
+        profiler = PhaseProfiler()
+        with profiler.phase("evaluate", generation=2):
+            pass
+        (span,) = tracer.spans
+        assert span.name == "phase.evaluate"
+        assert span.attrs == {"generation": 2}
+        assert span.to_dict()["dur"] == profiler.seconds("evaluate")
+        assert (
+            registry.counter("phase.evaluate_seconds").value
+            == profiler.seconds("evaluate")
+        )
+
+
+class TestPhaseTimer:
+    """The registry-backed phase view: ``phase.<name>_seconds`` counters
+    fed by :class:`PhaseProfiler` and read back as a profile."""
+
+    def test_profiler_api_parity(self):
         registry = MetricsRegistry()
-        timer = PhaseTimer(registry)
-        timer.record("evaluate", 2.0)
-        assert registry.counter("phase.evaluate_seconds").value == 2.0
+        previous = set_metrics(registry)
+        try:
+            profiler = PhaseProfiler()
+            profiler.record("evaluate", 3.0)
+            profiler.record("speciate", 1.0)
+            profiler.record("evaluate", 1.0)
+        finally:
+            set_metrics(previous)
+        counters = {
+            name[len("phase.") : -len("_seconds")]: state["value"]
+            for name, state in registry.snapshot().items()
+        }
+        assert counters == profiler.phases
+        total = sum(counters.values())
+        assert {k: v / total for k, v in counters.items()} == (
+            profiler.fractions()
+        )
+        assert total == profiler.total == 5.0
+        assert profiler.seconds("evaluate") == 4.0
+        assert profiler.seconds("missing") == 0.0
 
     def test_empty_fractions(self):
-        assert PhaseTimer().fractions() == {}
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            profiler = PhaseProfiler()
+            assert profiler.fractions() == {}
+            assert profiler.total == 0.0
+        finally:
+            set_metrics(previous)
+        assert registry.names() == []
 
 
 class TestTeeRecorder:
+    """One ``record`` call fans out to every sink that is installed."""
+
     def test_fans_out(self):
-        profiler = PhaseProfiler()
-        timer = PhaseTimer()
-        tee = TeeRecorder(profiler, timer)
-        tee.record("evaluate", 1.5)
-        assert profiler.seconds("evaluate") == 1.5
-        assert timer.seconds("evaluate") == 1.5
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            first, second = PhaseProfiler(), PhaseProfiler()
+            first.record("evaluate", 1.5)
+            second.record("evaluate", 0.5)
+        finally:
+            set_metrics(previous)
+        assert first.seconds("evaluate") == 1.5
+        assert second.seconds("evaluate") == 0.5
+        # both profilers feed the one installed registry
+        assert registry.counter("phase.evaluate_seconds").value == 2.0
+        # nothing is recorded once the registry is uninstalled
+        first.record("evaluate", 1.0)
+        assert first.seconds("evaluate") == 2.5
+        assert registry.counter("phase.evaluate_seconds").value == 2.0
 
 
 class TestGlobalRegistry:

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.platform import E3
+from repro.fabric.islands import IslandModel
+from repro.fabric.topology import FarmTopology
 from repro.neat.config import NEATConfig
 from repro.telemetry import (
     MetricsRegistry,
@@ -103,13 +105,6 @@ class TestSessionLifecycle:
         # a fresh thread starts from the default context: no tracer
         assert seen["tracer"] is None
 
-    def test_phase_timer_shares_registry(self):
-        session = TelemetrySession()
-        session.phase_timer.record("evaluate", 2.0)
-        assert (
-            session.metrics.counter("phase.evaluate_seconds").value == 2.0
-        )
-
     def test_export_writes_selected_sinks(self, tmp_path):
         session = TelemetrySession()
         with session:
@@ -125,15 +120,47 @@ class TestSessionLifecycle:
 
 
 def _run(backend: str, telemetry: TelemetrySession | None = None, **kwargs):
-    platform = E3(
-        "cartpole",
-        backend=backend,
-        neat_config=NEATConfig(population_size=24),
-        seed=3,
-        telemetry=telemetry,
-        **kwargs,
-    )
+    if backend == "islands":
+        platform = IslandModel(
+            "cartpole",
+            FarmTopology(
+                devices=2, islands=2, migration_interval=1, migration_size=1
+            ),
+            neat_config=NEATConfig(population_size=24),
+            seed=3,
+            telemetry=telemetry,
+        )
+    else:
+        platform = E3(
+            "cartpole",
+            backend=backend,
+            neat_config=NEATConfig(population_size=24),
+            seed=3,
+            telemetry=telemetry,
+            **kwargs,
+        )
     return platform.run(max_generations=3)
+
+
+def _phase_counters(registry: MetricsRegistry) -> dict[str, float]:
+    """The registry's ``phase.<name>_seconds`` counters keyed by phase."""
+    return {
+        name[len("phase.") : -len("_seconds")]: state["value"]
+        for name, state in registry.snapshot().items()
+        if name.startswith("phase.") and name.endswith("_seconds")
+    }
+
+
+def _assert_trace_matches_profiler(tmp_path: Path, backend: str) -> None:
+    """Trace summary, run profile and registry counters are bit-equal."""
+    session = TelemetrySession()
+    result = _run(backend, telemetry=session)
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(path, session.tracer, metrics=session.metrics)
+    summary = summarize_trace(path)
+    assert summary.phase_seconds == result.profiler.phases
+    assert _phase_counters(session.metrics) == result.profiler.phases
+    assert summary.phase_fractions() == result.profiler.fractions()
 
 
 class TestPlatformIntegration:
@@ -158,25 +185,41 @@ class TestPlatformIntegration:
         assert not session.installed  # run() uninstalled it
 
     def test_phase_timer_matches_profiler_exactly(self):
+        """The registry's phase counters are the run's profile."""
         session = TelemetrySession()
         result = _run("cpu", telemetry=session)
-        # the TeeRecorder feeds both from the same record() calls
-        assert session.phase_timer.phases == result.profiler.phases
-        assert session.phase_timer.fractions() == result.profiler.fractions()
+        counters = _phase_counters(session.metrics)
+        assert counters == result.profiler.phases
+        total = sum(counters.values())
+        assert {k: v / total for k, v in counters.items()} == (
+            result.profiler.fractions()
+        )
 
     def test_trace_summary_fractions_match_profiler(self, tmp_path):
-        """Acceptance: trace-summary phase fractions within 1% of the
-        profiler's fractions()."""
+        """Acceptance: one clock reading per phase boundary, so the
+        exported trace, the run's profiler and the registry counters
+        agree bit for bit."""
+        _assert_trace_matches_profiler(tmp_path, "cpu-compiled")
+
+    @pytest.mark.parametrize("backend", ["cpu", "inax", "islands"])
+    def test_trace_summary_matches_profiler_on_every_backend(
+        self, tmp_path, backend
+    ):
+        _assert_trace_matches_profiler(tmp_path, backend)
+
+    def test_ambient_session_receives_phase_counters(self):
+        """A run given no ``telemetry=`` inside an installed session
+        feeds that session's counters as well as its spans."""
         session = TelemetrySession()
-        result = _run("cpu-compiled", telemetry=session)
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, session.tracer, metrics=session.metrics)
-        summary = summarize_trace(path)
-        fractions = summary.phase_fractions()
-        expected = result.profiler.fractions()
-        assert set(fractions) == set(expected)
-        for phase, value in expected.items():
-            assert fractions[phase] == pytest.approx(value, abs=0.01)
+        with session:
+            result = _run("cpu")
+        spans = session.tracer.seconds_by_name("phase.")
+        assert set(spans) == {f"phase.{p}" for p in result.profiler.phases}
+        assert (
+            session.metrics.counter("phase.evaluate_seconds").value
+            == spans["phase.evaluate"]
+        )
+        assert _phase_counters(session.metrics) == result.profiler.phases
 
     def test_metrics_cover_episodes_and_cache(self):
         session = TelemetrySession()
@@ -191,8 +234,8 @@ class TestPlatformIntegration:
         session = TelemetrySession()
         _run("cpu-compiled", telemetry=session, workers=2)
         snapshot = session.metrics.snapshot()
-        assert snapshot["fastcpu.shard.evaluate_seconds"]["value"] > 0
-        assert snapshot["fastcpu.shard.genomes"]["count"] > 0
+        assert snapshot["shard.evaluate_seconds"]["value"] > 0
+        assert snapshot["shard.genomes"]["count"] > 0
         # worker-side histograms merged back into the parent registry
         assert snapshot["episode.steps"]["count"] > 0
         assert snapshot["rollout.wave_size"]["count"] > 0
