@@ -2,7 +2,7 @@
 
 Prices the same adversarial workload as the pipeline bench — a few
 long "hero" episodes amid short fillers — through
-:func:`repro.fabric.backend.price_farm` at 1, 2, 4 and 8 devices.  The
+:func:`repro.fabric.topology.price_farm` at 1, 2, 4 and 8 devices.  The
 two-level LPT (individuals into waves, waves onto devices) should keep
 the heroes spread across the farm, so 4 devices must recover at least
 the issue's 3.2x wall-clock speedup over a single device.  The
@@ -13,7 +13,7 @@ is gated by ``repro bench-diff`` via the ``speedup_4dev`` metric.
 import json
 
 from benchmarks.conftest import OUTPUT_DIR
-from repro.fabric.backend import price_farm
+from repro.fabric.topology import price_farm
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
 from repro.inax.synthetic import synthetic_population

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--devices", type=int, default=1,
-        help="fabric backend: number of simulated INAX farm devices",
+        help="inax backend: number of simulated INAX farm devices",
     )
     resume.add_argument(
         "--workers", type=int, default=0,
@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_fabric_args(command) -> None:
     command.add_argument(
         "--devices", type=int, default=1,
-        help="fabric backend: number of simulated INAX farm devices "
-        "(>1 auto-upgrades --backend inax to fabric; see docs/fabric.md)",
+        help="inax backend: number of simulated INAX farm devices "
+        "(software backends take only 1; see docs/fabric.md)",
     )
     command.add_argument(
         "--islands", type=int, default=1,
@@ -504,25 +504,6 @@ def _print_cache_summary(backend) -> None:
     )
 
 
-def _resolve_backend(args) -> bool:
-    """Apply the ``--devices`` rule to ``args.backend`` in place.
-
-    ``inax`` on several devices runs as ``fabric``; a software backend
-    on several devices prints an error and returns False.
-    """
-    from repro.core.backends import resolve_backend_name
-
-    try:
-        args.backend = resolve_backend_name(args.backend, args.devices)
-    except ValueError:
-        print(
-            "error: --devices needs the fabric backend, not "
-            f"{args.backend!r}"
-        )
-        return False
-    return True
-
-
 # ---------------------------------------------------------------- commands
 def _cmd_envs(_args) -> int:
     from repro.envs.registry import ENV_SUITE, registered_names, spec
@@ -558,24 +539,26 @@ def _cmd_run(args) -> int:
     from repro.neat.config import NEATConfig
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    if not _resolve_backend(args):
-        return 2
     if args.islands > 1:
         return _cmd_run_islands(args)
     session = _telemetry_session(args, "run")
     monitor = _health_monitor(args)
-    platform = E3(
-        args.env,
-        backend=args.backend,
-        neat_config=NEATConfig(population_size=args.population),
-        seed=args.seed,
-        workers=args.workers,
-        telemetry=session,
-        health=monitor,
-        devices=args.devices,
-        **_pipeline_kwargs(args),
-        **_resilience_kwargs(args),
-    )
+    try:
+        platform = E3(
+            args.env,
+            backend=args.backend,
+            neat_config=NEATConfig(population_size=args.population),
+            seed=args.seed,
+            workers=args.workers,
+            telemetry=session,
+            health=monitor,
+            devices=args.devices,
+            **_pipeline_kwargs(args),
+            **_resilience_kwargs(args),
+        )
+    except ValueError as error:  # e.g. --devices on a software backend
+        print(f"error: {error}")
+        return 2
     if not args.quiet:
         platform.population.reporters.add(ConsoleReporter())
     csv_reporter = None
@@ -622,6 +605,13 @@ def _cmd_run_islands(args) -> int:
         # island state is K populations + migration counters; the
         # single-population checkpoint format cannot represent it
         print("error: --checkpoint is not supported with --islands > 1")
+        return 2
+    if args.backend != "inax":
+        # islands always evaluate on the INAX farm; a software backend
+        # would only mislabel the run
+        print(
+            f"error: --islands runs on the inax backend, not {args.backend!r}"
+        )
         return 2
     topology = FarmTopology(
         devices=max(args.devices, 1),
@@ -685,8 +675,6 @@ def _cmd_resume(args) -> int:
     from repro.neat.checkpoint import load_checkpoint, save_checkpoint
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    if not _resolve_backend(args):
-        return 2
     population = load_checkpoint(args.checkpoint)
     env_spec = spec(args.env)
     env = env_spec.make()
@@ -702,16 +690,20 @@ def _cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 2
-    backend = build_backend(
-        args.backend,
-        args.env,
-        population.config,
-        base_seed=args.seed,
-        workers=args.workers,
-        devices=args.devices,
-        **_pipeline_kwargs(args),
-        **_resilience_kwargs(args),
-    )
+    try:
+        backend = build_backend(
+            args.backend,
+            args.env,
+            population.config,
+            base_seed=args.seed,
+            workers=args.workers,
+            devices=args.devices,
+            **_pipeline_kwargs(args),
+            **_resilience_kwargs(args),
+        )
+    except ValueError as error:  # e.g. --devices on a software backend
+        print(f"error: {error}")
+        return 2
     # the checkpoint restores genomes but no cache state; warming the
     # structural caches from the restored population keeps post-resume
     # hit rates (and benchmarks) honest instead of silently re-decoding

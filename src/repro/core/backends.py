@@ -15,8 +15,9 @@ run "evaluate":
   :class:`CPUBackend`;
 * :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
   genome to a HW configuration, dispatch the population in waves to the
-  functional INAX device, and drive the closed CPU<->FPGA loop until
-  every individual's episode terminates.
+  functional INAX device — or to a supervised farm of them
+  (``devices > 1``) — and drive the closed CPU<->FPGA loop until every
+  individual's episode terminates.
 
 All backends drive episodes through the shared rollout machinery
 (:func:`repro.envs.rollout.run_episode` for sequential evaluation,
@@ -41,7 +42,9 @@ import hashlib
 import math
 import multiprocessing
 import time
+from collections import deque
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.compile import CompileCache, CompiledPopulationEvaluator
@@ -52,10 +55,11 @@ from repro.envs.rollout import EpisodeRecord, run_episode, run_lockstep
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import HWNetConfig, compile_genome
+from repro.inax.farm import FabricSupervisor, assign_waves
 from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig, pack_waves, predict_costs
 from repro.inax.pu import BufferOverflowError
-from repro.inax.timing import CycleReport
+from repro.inax.timing import CycleReport, utilization
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
@@ -69,12 +73,13 @@ from repro.resilience.faults import (
 from repro.resilience.injectors import (
     DeviceFaultInjector,
     has_device_faults,
+    has_fabric_faults,
     wrap_env,
 )
 from repro.resilience.quarantine import DEFAULT_PENALTY, quarantine_nonfinite
 from repro.resilience.supervisor import ShardSupervisor, SupervisorConfig
 from repro.telemetry.metrics import get_metrics
-from repro.telemetry.spans import span as _span
+from repro.telemetry.spans import get_tracer, span as _span
 
 __all__ = [
     "GenerationRecord",
@@ -86,7 +91,6 @@ __all__ = [
     "BACKENDS",
     "build_backend",
     "default_inax_config",
-    "resolve_backend_name",
 ]
 
 
@@ -960,7 +964,7 @@ class CompiledCPUBackend(EvaluationBackend):
 
 
 class INAXBackend(EvaluationBackend):
-    """HW/SW co-designed evaluation on the functional INAX device.
+    """HW/SW co-designed evaluation on a farm of functional INAX devices.
 
     Episodes run in lock-step across a wave of PUs: each synchronized
     device step infers every still-alive individual, then the CPU steps
@@ -969,6 +973,27 @@ class INAXBackend(EvaluationBackend):
     effect), and the device's cycle report reflects it.  The wave loop
     itself is the shared :func:`run_lockstep` driver with the device as
     the inference function.
+
+    The backend owns ``devices`` INAX devices (:attr:`farm`; one by
+    default — a single device is a farm of one):
+
+    * waves are packed exactly as on one device (``pack_waves``), then
+      LPT-assigned across the alive devices (:func:`~repro.inax.farm.
+      assign_waves`);
+    * every wave-episode dispatch is preceded by a
+      :meth:`~repro.inax.farm.FabricSupervisor.probe`; a device that
+      misses its heartbeats (or hard-faults mid-wave) is evicted and its
+      remaining queue is deterministically re-packed onto the
+      survivors;
+    * the per-(genome, episode) seeding contract makes device placement
+      invisible to fitness, so a fault-ridden run is *fitness-identical*
+      to a clean run of the same seed — eviction and re-pack can only
+      move cycles, never results.
+
+    Devices run in parallel in the cycle domain, so the generation's
+    wall-clock is the max over per-device report cycles plus heartbeat
+    penalties; the critical-path device's report becomes the generation
+    record's ``cycle_report``.
     """
 
     name = "inax"
@@ -987,6 +1012,8 @@ class INAXBackend(EvaluationBackend):
         fault_plan: FaultPlan | None = None,
         quarantine_penalty: float = DEFAULT_PENALTY,
         pipeline: PipelineConfig | None = None,
+        devices: int = 1,
+        supervisor: SupervisorConfig | None = None,
     ):
         """``oversize_policy`` decides what happens when an evolved
         genome no longer fits the PUs' weight/value buffers (a real
@@ -997,12 +1024,18 @@ class INAXBackend(EvaluationBackend):
 
         ``fallback`` (``"cpu-compiled"`` or ``"cpu"``) arms graceful
         degradation: a wave that hits a device fault
-        (:class:`DeviceFault`, :class:`BufferOverflowError`) re-runs on
-        the bit-identical software path instead of aborting, and an
-        oversized genome under ``oversize_policy="raise"`` is evaluated
-        in software rather than killing the run.  :attr:`oversize_count`
-        is cumulative over the backend's lifetime — it is never reset,
-        so per-generation deltas come from successive reporter rows."""
+        (:class:`DeviceFault`, :class:`BufferOverflowError`) on the last
+        alive device re-runs on the bit-identical software path instead
+        of aborting, and an oversized genome under
+        ``oversize_policy="raise"`` is evaluated in software rather than
+        killing the run.  :attr:`oversize_count` is cumulative over the
+        backend's lifetime — it is never reset, so per-generation
+        deltas come from successive reporter rows.
+
+        ``devices`` sizes the farm; ``supervisor`` is the shared
+        recovery policy (:class:`SupervisorConfig` — the same frozen
+        config the shard supervisor reads, recorded in the run
+        manifest)."""
         if oversize_policy not in ("raise", "penalize"):
             raise ValueError(
                 f"unknown oversize_policy {oversize_policy!r}; "
@@ -1013,6 +1046,8 @@ class INAXBackend(EvaluationBackend):
                 f"unknown fallback {fallback!r}; use 'cpu-compiled', 'cpu', "
                 "or None"
             )
+        if devices < 1:
+            raise ValueError(f"devices must be >= 1, got {devices}")
         inax_config = inax_config or INAXConfig()
         super().__init__(
             env_name,
@@ -1025,12 +1060,45 @@ class INAXBackend(EvaluationBackend):
             quarantine_penalty=quarantine_penalty,
             pipeline=pipeline,
         )
-        injector = (
+        self.num_devices = devices
+        #: the one rule for farm-only behaviour: device-namespaced fault
+        #: sites (``dev=N|``) and trace tracks (``devN.``), the
+        #: ``fabric.*`` heartbeat injector, ``fabric.evict_refused``
+        #: records, the farm's reporter columns and gauges, and the
+        #: ``fabric.assign``/``fabric.gen`` trace markers all exist only
+        #: when this is set — so a one-device run is exactly the single
+        #: INAX device, fault sites and trace included
+        self.is_farm = devices > 1
+        # one INAX per device, each with its own injector namespace —
+        # two devices probing the same (wave, step) site must draw
+        # independently, and their span tracks must stay distinct
+        self.farm: list[INAX] = []
+        for index in range(devices):
+            prefix = f"dev={index}|" if self.is_farm else ""
+            injector = (
+                DeviceFaultInjector(fault_plan, site_prefix=prefix)
+                if fault_plan is not None and has_device_faults(fault_plan)
+                else None
+            )
+            device = INAX(inax_config, fault_injector=injector)
+            device.track_prefix = f"dev{index}." if self.is_farm else ""
+            self.farm.append(device)
+        self.supervisor_config = (
+            supervisor if supervisor is not None else SupervisorConfig()
+        )
+        heartbeat = (
             DeviceFaultInjector(fault_plan)
-            if fault_plan is not None and has_device_faults(fault_plan)
+            if self.is_farm and has_fabric_faults(fault_plan)
             else None
         )
-        self.device = INAX(inax_config, fault_injector=injector)
+        #: per-device health (heartbeats, eviction, re-admission)
+        self.fabric = FabricSupervisor(
+            devices, config=self.supervisor_config, injector=heartbeat
+        )
+        #: last generation's farm wall-clock (max device cycles +
+        #: heartbeat penalties)
+        self.last_wall_cycles = 0.0
+        self.last_device_walls: dict[int, float] = {}
         self.oversize_policy = oversize_policy
         self.oversize_penalty = oversize_penalty
         self.oversize_count = 0
@@ -1040,8 +1108,16 @@ class INAXBackend(EvaluationBackend):
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
         super().reset_run_state(base_seed=base_seed)
-        # the device itself carries no cross-generation run state (its
-        # report resets per wave batch); only the gate/fallback tallies do
+        # the devices carry no cross-generation run state (their reports
+        # reset per generation); the farm's health history, walls and
+        # the gate/fallback tallies do
+        self.fabric = FabricSupervisor(
+            self.num_devices,
+            config=self.supervisor_config,
+            injector=self.fabric.injector,
+        )
+        self.last_wall_cycles = 0.0
+        self.last_device_walls = {}
         self.oversize_count = 0
         self.fallback_waves = 0
         self.fallback_genomes = 0
@@ -1107,13 +1183,16 @@ class INAXBackend(EvaluationBackend):
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         assert self.inax_config is not None
+        generation = self._generation
+        sup = self.fabric
+        sup.begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
         runnable, configs = self._gate_oversize(genomes)
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
-        num_pus = self.inax_config.num_pus
         keys = [g.key for g in runnable]
+        num_pus = self.inax_config.num_pus
 
         # wave packing happens *before* evaluation, off last-generation
         # episode lengths — exactly what the analytic scheduler replays
@@ -1126,24 +1205,60 @@ class INAXBackend(EvaluationBackend):
                 num_pus,
                 self.pipeline.schedule,
             )
+        # without predictions (arrival schedule, or a cold first LPT
+        # generation) every wave prices as one unit, so LPT assignment
+        # degrades to balanced wave *counts* instead of piling the whole
+        # generation onto device 0
+        wave_costs = [
+            max((predicted[i] or 1.0) for i in indices)
+            if predicted is not None
+            else 1.0
+            for indices in waves
+        ]
+        for device in self.farm:
+            device.reset_report()
 
-        self.device.reset_report()
-        dispatched = 0
-        for indices in waves:
-            wave_genomes = [runnable[i] for i in indices]
-            wave_configs = [configs[i] for i in indices]
-            for episode in range(self.episodes_per_genome):
-                prefetched = self.pipeline.prefetch and dispatched > 0
-                self._run_wave_episode(
-                    indices,
-                    wave_genomes,
-                    wave_configs,
-                    episode,
-                    lengths,
-                    rewards,
-                    prefetched=prefetched,
+        queues: dict[int, deque] = {}
+        if waves:
+            with (
+                _span(
+                    "fabric.assign", waves=len(waves), devices=len(sup.alive())
                 )
-                dispatched += 1
+                if self.is_farm
+                else nullcontext()
+            ):
+                assignment = assign_waves(wave_costs, sup.alive())
+            queues = {
+                device: deque((ordinal, 0) for ordinal in ordinals)
+                for device, ordinals in assignment.items()
+            }
+        dispatched = {device: 0 for device in range(self.num_devices)}
+
+        # drain device queues; an eviction re-packs (and may refill an
+        # already-passed device's queue), so the outer loop re-scans
+        # until every queue is dry
+        while any(queues.values()):
+            for device in sorted(queues):
+                queue = queues[device]
+                while queue:
+                    ordinal, start_episode = queue[0]
+                    indices = waves[ordinal]
+                    done = self._dispatch_wave(
+                        generation,
+                        device,
+                        indices,
+                        [runnable[i] for i in indices],
+                        [configs[i] for i in indices],
+                        start_episode,
+                        lengths,
+                        rewards,
+                        dispatched,
+                        queue,
+                    )
+                    if not done:
+                        self._repack(generation, device, queues, wave_costs)
+                        break
+                    queue.popleft()
 
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
@@ -1154,9 +1269,141 @@ class INAXBackend(EvaluationBackend):
             predicted_costs=predicted,
             analytic=False,
         )
-        # the functional device's own report supersedes the analytic one
-        record.cycle_report = self.device.report
+        # the functional devices' own report supersedes the analytic one
+        record.cycle_report = self._finish_generation(generation)
         self._publish_cycle_gauges(record.cycle_report)
+
+    def _dispatch_wave(
+        self,
+        generation: int,
+        device: int,
+        indices: list[int],
+        wave_genomes: list[Genome],
+        wave_configs: list[HWNetConfig],
+        start_episode: int,
+        lengths: list[int],
+        rewards: list[float],
+        dispatched: dict[int, int],
+        queue: deque,
+    ) -> bool:
+        """Run one queued wave's remaining episodes on ``device``.
+
+        ``indices`` maps wave slot -> population index, so any packing
+        order lands results on the right individual.  Returns True when
+        the wave completed; False when the device was evicted mid-wave
+        — the queue's head entry is rewound to the first unfinished
+        episode so the re-pack resumes exactly there.
+        """
+        for episode in range(start_episode, self.episodes_per_genome):
+            if not self.fabric.probe(generation, device):
+                queue[0] = (queue[0][0], episode)
+                return False
+            prefetched = self.pipeline.prefetch and dispatched[device] > 0
+            try:
+                records = self._device_wave_episode(
+                    self.farm[device],
+                    wave_genomes,
+                    wave_configs,
+                    episode,
+                    prefetched=prefetched,
+                )
+            except (DeviceFault, BufferOverflowError) as error:
+                self.farm[device].abort_wave()
+                if self.is_farm and self.fabric.fail(
+                    generation, device, type(error).__name__
+                ):
+                    queue[0] = (queue[0][0], episode)
+                    return False
+                # a lone device (or an eviction refused because it is
+                # the last alive one) degrades to the software ladder
+                if self.fallback is None:
+                    raise
+                self.fallback_waves += 1
+                self.fallback_genomes += len(wave_genomes)
+                self._event(
+                    "fallback.wave",
+                    f"gen={generation}|offset={indices[0]}|episode={episode}",
+                    error=type(error).__name__,
+                    genomes=len(wave_genomes),
+                )
+                records = self._fallback_wave_episode(wave_genomes, episode)
+            dispatched[device] += 1
+            for slot, record in enumerate(records):
+                rewards[indices[slot]] += record.total_reward
+                lengths[indices[slot]] += record.steps
+        return True
+
+    def _repack(
+        self,
+        generation: int,
+        device: int,
+        queues: dict[int, deque],
+        wave_costs: list[float],
+    ) -> None:
+        """Move an evicted device's queue onto the survivors (LPT).
+
+        Load is measured over *remaining* queued work only — already-
+        evaluated waves are sunk cost; the result is still a pure
+        function of (plan, topology) because everything upstream is.
+        """
+        orphans = list(queues[device])
+        queues[device].clear()
+        if not orphans:
+            return
+        survivors = self.fabric.alive()
+        load = {
+            s: sum(wave_costs[ordinal] for ordinal, _ in queues.get(s, ()))
+            for s in survivors
+        }
+        for entry in sorted(
+            orphans, key=lambda e: (-wave_costs[e[0]], e[0])
+        ):
+            target = min(survivors, key=lambda s: (load[s], s))
+            queues.setdefault(target, deque()).append(entry)
+            load[target] += wave_costs[entry[0]]
+        self.fabric.repacked_waves += len(orphans)
+        self._event(
+            "fabric.repack",
+            f"gen={generation}|device={device}",
+            waves=len(orphans),
+            survivors=len(survivors),
+        )
+
+    def _finish_generation(self, generation: int) -> CycleReport:
+        """Close the generation: walls, farm gauges, ``fabric.gen``.
+
+        Returns the critical-path device's cycle report (the farm's
+        wall-clock determinant) for the generation record.
+        """
+        sup = self.fabric
+        walls = {
+            d: self.farm[d].report.total_cycles + sup.penalty_cycles(d)
+            for d in range(self.num_devices)
+        }
+        critical = max(range(self.num_devices), key=lambda d: (walls[d], -d))
+        self.last_wall_cycles = float(walls[critical])
+        self.last_device_walls = {d: float(w) for d, w in walls.items()}
+        if self.is_farm:
+            counters = sup.counters()
+            registry = get_metrics()
+            if registry is not None:
+                registry.gauge("fabric.wall_cycles").set(
+                    self.last_wall_cycles
+                )
+                for name, value in counters.items():
+                    registry.gauge(f"fabric.{name}").set(value)
+            tracer = get_tracer()
+            if tracer is not None:
+                tracer.add_span(
+                    "fabric.gen",
+                    start=tracer.now(),
+                    duration=0.0,
+                    site=f"gen={generation}",
+                    generation=generation,
+                    wall_cycles=self.last_wall_cycles,
+                    **counters,
+                )
+        return self.farm[critical].report
 
     def _publish_cycle_gauges(self, report) -> None:
         """Per-generation pipeline gauges (watchtower detector inputs)."""
@@ -1175,16 +1422,33 @@ class INAXBackend(EvaluationBackend):
         if registry is not None:
             registry.counter("inax.oversize.count").inc()
 
+    def farm_counters(self) -> dict[str, float]:
+        """The supervisor's cumulative farm counters (reporter columns,
+        ``fabric.*`` gauges); empty on a single device."""
+        return self.fabric.counters() if self.is_farm else {}
+
     def reporter_columns(self) -> dict[str, float]:
         columns = super().reporter_columns()
         columns["oversize"] = float(self.oversize_count)
-        # count-based wave occupancy of the generation just evaluated —
-        # the knob the LPT packer moves (the device report was reset at
-        # the top of this generation's _evaluate, so this is per-gen)
-        columns["pack_eff"] = self.device.report.packing_efficiency
+        # count-based wave occupancy of the generation just evaluated,
+        # farm-wide — the knob the LPT packer moves (every device report
+        # was reset at the top of this generation's _evaluate)
+        columns["pack_eff"] = utilization(
+            sum(device.report.live_slot_steps for device in self.farm),
+            sum(device.report.slot_steps_provisioned for device in self.farm),
+        )
         if self.fallback is not None:
             columns["fallback_waves"] = float(self.fallback_waves)
+        columns.update(self.farm_counters())
         return columns
+
+    def resilience_log(self) -> list[dict]:
+        """Backend + farm supervisor + plan events (replay identity)."""
+        events = [event.to_dict() for event in self.resilience_events]
+        events.extend(event.to_dict() for event in self.fabric.events)
+        if self.fault_plan is not None:
+            events.extend(self.fault_plan.event_log())
+        return events
 
     def _fallback_records(
         self, genomes: list[Genome], episodes: Sequence[int]
@@ -1222,8 +1486,8 @@ class INAXBackend(EvaluationBackend):
         """One wave's episode on one device; raises on device faults.
 
         The fresh-env + per-(genome, episode) seed discipline lives
-        here, so any device (the single INAX or any fabric farm member)
-        produces bit-identical episode records for the same wave.
+        here, so any farm device produces bit-identical episode records
+        for the same wave.
         """
         device.begin_wave(configs, prefetched=prefetched)
         envs = [self._make_env() for _ in genomes]
@@ -1232,44 +1496,9 @@ class INAXBackend(EvaluationBackend):
         device.end_wave()
         return episode_records
 
-    def _run_wave_episode(
-        self,
-        indices: list[int],
-        genomes: list[Genome],
-        configs: list[HWNetConfig],
-        episode: int,
-        lengths: list[int],
-        rewards: list[float],
-        prefetched: bool = False,
-    ) -> None:
-        """Run one wave's episode; ``indices`` maps wave slot ->
-        population index, so any packing order lands results on the
-        right individual."""
-        try:
-            episode_records = self._device_wave_episode(
-                self.device, genomes, configs, episode, prefetched=prefetched
-            )
-        except (DeviceFault, BufferOverflowError) as error:
-            self.device.abort_wave()
-            if self.fallback is None:
-                raise
-            self.fallback_waves += 1
-            self.fallback_genomes += len(genomes)
-            self._event(
-                "fallback.wave",
-                f"gen={self._generation}|offset={indices[0]}|episode={episode}",
-                error=type(error).__name__,
-                genomes=len(genomes),
-            )
-            episode_records = self._fallback_wave_episode(genomes, episode)
-        for slot, record in enumerate(episode_records):
-            rewards[indices[slot]] += record.total_reward
-            lengths[indices[slot]] += record.steps
 
-
-
-#: CLI/platform name -> backend class.  ``repro.fabric`` registers
-#: ``"fabric"`` on import; :func:`build_backend` is the only reader.
+#: CLI/platform name -> backend class; :func:`build_backend` is the only
+#: reader.
 BACKENDS: dict[str, type[EvaluationBackend]] = {
     "cpu": CPUBackend,
     "cpu-compiled": CompiledCPUBackend,
@@ -1280,8 +1509,7 @@ BACKENDS: dict[str, type[EvaluationBackend]] = {
 #: constructor kwargs a backend takes beyond the ones every backend does
 _EXTRA_KWARGS: dict[str, tuple[str, ...]] = {
     "cpu-compiled": ("workers", "supervisor"),
-    "inax": ("fallback",),
-    "fabric": ("fallback", "devices", "supervisor"),
+    "inax": ("fallback", "devices", "supervisor"),
 }
 
 
@@ -1290,22 +1518,6 @@ def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
     return INAXConfig(
         num_pus=num_pus, num_pes_per_pu=choose_num_pes(num_outputs)
     )
-
-
-def resolve_backend_name(name: str, devices: int = 1) -> str:
-    """The backend ``name`` runs as on ``devices`` devices.
-
-    A farm of INAX devices is still the inax path, just its distributed
-    flavour, so ``inax`` on more than one device becomes ``fabric``;
-    any other backend has no devices to spread over and is rejected.
-    """
-    if devices > 1 and name == "inax":
-        return "fabric"
-    if devices > 1 and name != "fabric":
-        raise ValueError(
-            f"devices={devices} needs the fabric backend, not {name!r}"
-        )
-    return name
 
 
 def build_backend(
@@ -1330,14 +1542,19 @@ def build_backend(
     ``inax_config``, else :func:`default_inax_config` for the config's
     output count), so software backends price the same cycles a device
     run reports, and a pooled, resumed or island backend matches a
-    fresh ``E3`` one.  ``devices`` follows :func:`resolve_backend_name`.
-    ``workers`` and ``supervisor`` reach only the backends that shard
-    or supervise; ``fallback`` only the device backends.
+    fresh ``E3`` one.  ``workers`` and ``supervisor`` reach only the
+    backends that shard or supervise; ``fallback`` and ``devices`` only
+    the device backend, and a software backend asked for more than one
+    device is rejected — it has no devices to spread over.
     """
-    name = resolve_backend_name(name, devices)
     if name not in BACKENDS:
         names = ", ".join(repr(n) for n in sorted(BACKENDS))
         raise ValueError(f"unknown backend {name!r}; use one of {names}")
+    extra = _EXTRA_KWARGS.get(name, ())
+    if devices > 1 and "devices" not in extra:
+        raise ValueError(
+            f"devices={devices} needs the inax backend, not {name!r}"
+        )
     if inax_config is None:
         inax_config = default_inax_config(neat_config.num_outputs)
     options = {
@@ -1346,7 +1563,7 @@ def build_backend(
         "fallback": fallback,
         "supervisor": supervisor,
     }
-    kwargs = {key: options[key] for key in _EXTRA_KWARGS.get(name, ())}
+    kwargs = {key: options[key] for key in extra}
     return BACKENDS[name](
         env_name,
         neat_config,

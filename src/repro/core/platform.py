@@ -119,13 +119,12 @@ class E3:
         chaos runs; ``fallback`` (``"cpu-compiled"`` or ``"cpu"``) lets
         the ``inax`` backend degrade faulted waves to the software path;
         ``supervisor`` tunes the ``cpu-compiled`` shard watchdog *and* the
-        fabric device supervisor — the shared
+        INAX farm's device supervisor — the shared
         :class:`~repro.resilience.supervisor.SupervisorConfig`.
 
-        ``devices`` sizes the ``fabric`` backend's simulated INAX farm
-        (``docs/fabric.md``); ``inax`` on more than one device runs as
-        ``fabric``, and the software backends reject it (both rules are
-        :func:`~repro.core.backends.build_backend`'s).
+        ``devices`` sizes the ``inax`` backend's simulated INAX farm
+        (``docs/fabric.md``); the software backends reject more than
+        one device (:func:`~repro.core.backends.build_backend`'s rule).
 
         ``pipeline`` (a :class:`~repro.inax.pipeline.PipelineConfig`)
         selects the generation-pipelining policies: LPT wave packing,
@@ -298,14 +297,6 @@ class E3:
             )
         if getattr(backend, "fallback_waves", 0):
             registry.gauge("inax.fallback_waves").set(backend.fallback_waves)
-        fabric = getattr(backend, "fabric", None)
-        if fabric is not None:
-            for name, value in fabric.counters().items():
-                registry.gauge(f"fabric.{name}").set(value)
-
-
-# bottom import, deliberately: registering the fabric backend pulls in
-# repro.fabric, which itself imports repro.core submodules — importing
-# it after this module's definitions keeps the cycle harmless whichever
-# package is imported first
-import repro.fabric.backend  # noqa: E402,F401  (registers BACKENDS["fabric"])
+        farm_counters = getattr(backend, "farm_counters", dict)
+        for name, value in farm_counters().items():
+            registry.gauge(f"fabric.{name}").set(value)

@@ -1,15 +1,13 @@
-"""The fault-tolerant distributed INAX fabric.
+"""Island-model NEAT over the INAX device farm.
 
-An N-device simulated INAX farm running island-model NEAT, built so
-that recovery is a pure function of ``(seed, farm topology,
-FaultPlan)``:
+The farm itself is the ``inax`` backend on ``devices > 1``
+(:class:`repro.core.backends.INAXBackend`, with wave placement and
+device health in :mod:`repro.inax.farm`).  This package holds what
+runs on top of it, built so that recovery is a pure function of
+``(seed, farm topology, FaultPlan)``:
 
-* :mod:`repro.fabric.topology` — the farm shape and the deterministic
-  LPT wave-to-device assignment;
-* :mod:`repro.fabric.supervisor` — per-device heartbeat/eviction/
-  probation health supervision;
-* :mod:`repro.fabric.backend` — the ``fabric`` evaluation backend
-  (registers itself in :data:`repro.core.backends.BACKENDS`);
+* :mod:`repro.fabric.topology` — the farm shape and
+  :func:`price_farm`, the farm's analytic pricing;
 * :mod:`repro.fabric.islands` — the K-island evolution driver with
   seeded, skip-and-log ring migration.
 
@@ -17,22 +15,16 @@ See ``docs/fabric.md`` for the topology, the eviction ladder, and the
 migration determinism contract.
 """
 
-from repro.fabric.backend import FabricINAXBackend, price_farm
 from repro.fabric.islands import (
     KEY_STRIDE,
     IslandModel,
     IslandRunResult,
     island_seed,
 )
-from repro.fabric.supervisor import DeviceState, FabricSupervisor
-from repro.fabric.topology import FarmTopology, assign_waves
+from repro.fabric.topology import FarmTopology, price_farm
 
 __all__ = [
     "FarmTopology",
-    "assign_waves",
-    "DeviceState",
-    "FabricSupervisor",
-    "FabricINAXBackend",
     "price_farm",
     "IslandModel",
     "IslandRunResult",

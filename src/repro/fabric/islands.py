@@ -1,9 +1,9 @@
-"""Island-model NEAT over the fabric farm.
+"""Island-model NEAT over the INAX device farm.
 
 :class:`IslandModel` evolves ``K`` independent sub-populations
-("islands") whose genomes are all evaluated together by one fabric
-backend per generation, with seeded ring migration at fixed
-generation barriers:
+("islands") whose genomes are all evaluated together by one ``inax``
+farm (``devices=topology.devices``) per generation, with seeded ring
+migration at fixed generation barriers:
 
 * each island gets its own :class:`~repro.neat.population.Population`
   with a derived seed (``sha256(f"{seed}|island|{i}")``) and a
@@ -38,6 +38,7 @@ from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.population import GenerationStats, Population
 from repro.resilience.faults import ResilienceEvent, emit_event
+from repro.resilience.injectors import DeviceFaultInjector, has_fabric_faults
 from repro.telemetry import RunManifest, TelemetrySession
 from repro.telemetry.metrics import PhaseProfiler, get_metrics
 from repro.telemetry.spans import span as _span
@@ -78,7 +79,7 @@ class IslandRunResult:
 
 
 class IslandModel:
-    """K islands, one fabric farm, seeded generation-barrier migration."""
+    """K islands, one INAX farm, seeded generation-barrier migration."""
 
     def __init__(
         self,
@@ -123,7 +124,7 @@ class IslandModel:
         self.health = health
 
         self.backend = build_backend(
-            "fabric",
+            "inax",
             env_name,
             self.neat_config,
             episodes_per_genome=episodes_per_genome,
@@ -137,6 +138,13 @@ class IslandModel:
             pipeline=pipeline,
         )
         self.inax_config = self.backend.inax_config
+        # migration edges draw their own ``fabric.migration_corrupt``
+        # faults — islands migrate whether the farm has one device or many
+        self._migration_faults = (
+            DeviceFaultInjector(fault_plan)
+            if has_fabric_faults(fault_plan)
+            else None
+        )
 
         total = self.neat_config.population_size
         share, remainder = divmod(total, topology.islands)
@@ -264,7 +272,7 @@ class IslandModel:
         """
         count = len(self.islands)
         alive = set(self.backend.fabric.alive())
-        injector = self.backend.fabric.injector
+        injector = self._migration_faults
         payloads = [
             pop.emigrants(self.topology.migration_size)
             for pop in self.islands
@@ -374,7 +382,7 @@ class IslandModel:
     def _publish_telemetry(self, session: TelemetrySession) -> None:
         """End-of-run farm statistics into the session registry."""
         registry = session.metrics
-        for name, value in self.backend.fabric.counters().items():
+        for name, value in self.backend.farm_counters().items():
             registry.gauge(f"fabric.{name}").set(value)
         registry.gauge("fabric.migrations").set(float(self.migrations))
         registry.gauge("fabric.migrations_skipped").set(

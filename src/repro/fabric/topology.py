@@ -1,27 +1,30 @@
-"""Farm topology and deterministic cross-device wave assignment.
+"""Farm topology and the farm's analytic pricing.
 
-The fabric scales the single simulated INAX device into an N-device
-farm (ROADMAP item 1; PAPERS.md's distributed-FPGA neuroevolution ran
-432 of them).  Two pure functions define how work lands on devices:
+The ``inax`` backend scales the single simulated INAX device into an
+N-device farm (``--devices N``; PAPERS.md's distributed-FPGA
+neuroevolution ran 432 of them).  This module holds what sits around
+that farm:
 
-* :func:`repro.inax.pipeline.pack_waves` packs individuals into waves
-  exactly as on one device — the farm never changes wave composition,
-  only wave *placement*;
-* :func:`assign_waves` LPT-assigns those waves onto the currently-alive
-  devices.
+* :class:`FarmTopology` — the farm shape the island model runs over
+  (devices, islands, the migration policy);
+* :func:`price_farm` — the analytic twin of a healthy farm, for the
+  scaling bench.
 
-Both are pure functions of their inputs, so re-running
-:func:`assign_waves` over the survivor set after an eviction *is* the
-deterministic re-pack rule — recovery is a function of
-``(seed, farm topology, FaultPlan)``, never of host timing.
+Work placement itself (:func:`repro.inax.farm.assign_waves`) and
+device health (:class:`repro.inax.farm.FabricSupervisor`) live with the
+device in :mod:`repro.inax.farm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
-__all__ = ["FarmTopology", "assign_waves"]
+from repro.inax.accelerator import INAXConfig, schedule_waves
+from repro.inax.farm import assign_waves
+from repro.inax.pipeline import PipelineConfig, pack_waves
+from repro.inax.pu import _static_step_cycles
+
+__all__ = ["FarmTopology", "price_farm"]
 
 
 @dataclass(frozen=True)
@@ -72,31 +75,56 @@ class FarmTopology:
         return asdict(self)
 
 
-def assign_waves(
-    costs: Sequence[float], alive: Sequence[int]
-) -> dict[int, list[int]]:
-    """LPT-assign wave ordinals onto the alive devices.
+def price_farm(
+    inax_config: INAXConfig,
+    net_configs: list,
+    episode_lengths: list[int],
+    devices: int,
+    pipeline: PipelineConfig | None = None,
+) -> dict:
+    """Analytic farm pricing: the scaling-bench twin of the farm.
 
-    The second scheduling level on top of ``pack_waves``: each wave
-    (heaviest predicted cost first, ties by lower ordinal) goes to the
-    least-loaded alive device (ties by lower device id).  Each device's
-    list comes back in ordinal order, preserving the single-device
-    dispatch order within a device.
-
-    Pure function of ``(costs, alive)``: eviction re-packs by calling
-    this again over the orphaned ordinals and the survivor set, so a
-    replay reproduces every placement decision bit for bit.
+    Packs the workload into waves exactly like one device, LPT-assigns
+    them across ``devices`` healthy devices, and prices each device's
+    subset through :func:`~repro.inax.accelerator.schedule_waves` — so
+    the multi-device scaling numbers use the identical per-wave cycle
+    semantics as a functional run.  Wall-clock is the max over devices
+    (they run in parallel in the cycle domain).
     """
-    devices = sorted(alive)
-    if not devices:
-        raise ValueError("assign_waves needs at least one alive device")
-    load = {device: 0.0 for device in devices}
-    queues: dict[int, list[int]] = {device: [] for device in devices}
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    for ordinal in order:
-        target = min(devices, key=lambda d: (load[d], d))
-        queues[target].append(ordinal)
-        load[target] += costs[ordinal]
-    for device in devices:
-        queues[device].sort()
-    return queues
+    pipeline = pipeline if pipeline is not None else PipelineConfig()
+    step_fn = lambda c: _static_step_cycles(  # noqa: E731
+        c, inax_config.num_pes_per_pu, inax_config.pe_costs,
+        inax_config.pu_costs,
+    )
+    pack_costs: list
+    if pipeline.schedule == "arrival":
+        pack_costs = [None] * len(net_configs)
+    else:
+        pack_costs = [
+            float(length) * step_fn(config)
+            for config, length in zip(net_configs, episode_lengths)
+        ]
+    waves = pack_waves(pack_costs, inax_config.num_pus, pipeline.schedule)
+    wave_costs = [
+        max((pack_costs[i] or 1.0) for i in indices) for indices in waves
+    ]
+    assignment = assign_waves(wave_costs, list(range(devices)))
+    reports = {}
+    for device, ordinals in sorted(assignment.items()):
+        reports[device] = schedule_waves(
+            inax_config,
+            net_configs,
+            episode_lengths,
+            [waves[ordinal] for ordinal in ordinals],
+            prefetch=pipeline.prefetch,
+        )
+    device_walls = {
+        device: report.total_cycles for device, report in reports.items()
+    }
+    return {
+        "devices": devices,
+        "waves": len(waves),
+        "per_device": reports,
+        "device_walls": device_walls,
+        "wall_cycles": max(device_walls.values()) if device_walls else 0.0,
+    }

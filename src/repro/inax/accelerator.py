@@ -97,8 +97,8 @@ class INAX:
         #: optional :class:`repro.resilience.injectors.DeviceFaultInjector`;
         #: ``None`` (the default) keeps every hook on the zero-cost path
         self.fault_injector = fault_injector
-        #: prepended to every emitted span track (the fabric sets
-        #: ``"dev0."`` etc. so per-device timelines stay distinct)
+        #: prepended to every emitted span track (a multi-device farm
+        #: sets ``"dev0."`` etc. so per-device timelines stay distinct)
         self.track_prefix = ""
         self.pus = [
             ProcessingUnit(
@@ -475,9 +475,10 @@ def schedule_waves(
     """Price an explicit wave sequence (index lists) into a report.
 
     The device-subset entry point behind :func:`schedule_generation`:
-    the fabric prices each farm device's assigned waves through here so
-    multi-device scaling numbers use the exact single-device wave
-    semantics (including per-device prefetch windows).
+    :func:`~repro.fabric.topology.price_farm` prices each farm device's
+    assigned waves through here so multi-device scaling numbers use the
+    exact single-device wave semantics (including per-device prefetch
+    windows).
     """
     if step_cycles_fn is None:
         step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731

@@ -1,39 +1,49 @@
-"""Per-device health supervision for the INAX farm.
+"""The INAX device farm: wave placement and per-device health.
 
-:class:`FabricSupervisor` generalizes the shard supervisor's ladder to
-the device domain, sharing its frozen
-:class:`~repro.resilience.supervisor.SupervisorConfig`:
+The ``inax`` backend evaluates on ``devices`` simulated INAX devices (a
+single device is a farm of one).  Two pieces here decide where work
+lands and which devices may take it:
 
-* **heartbeat probes** before every wave-episode dispatch — a
-  ``fabric.device_drop`` draw is a missed heartbeat, a
-  ``fabric.heartbeat_delay`` draw answers late and burns penalty
-  cycles that grow with the miss count (``backoff_factor``, the cycle-
-  domain analogue of shard retry backoff);
-* **eviction** after ``max_retries`` consecutive misses (or on a hard
-  :class:`~repro.resilience.faults.DeviceFault` mid-wave) — except the
-  last alive device, which is never evicted (the refusal is recorded
-  and the run continues degraded rather than dying);
-* **probationary re-admission** — an evicted device is re-probed after
-  ``probation_generations`` generations; a clean probe re-admits it on
-  probation, and surviving one full generation restores it to healthy.
+* :func:`assign_waves` LPT-assigns the waves
+  :func:`~repro.inax.pipeline.pack_waves` packed (exactly as on one
+  device — the farm never changes wave composition, only wave
+  *placement*) onto the currently-alive devices.  It is a pure function
+  of its inputs, so re-running it over the survivor set after an
+  eviction *is* the deterministic re-pack rule;
+* :class:`FabricSupervisor` generalizes the shard supervisor's ladder
+  to the device domain, sharing its frozen
+  :class:`~repro.resilience.supervisor.SupervisorConfig`:
+
+  - **heartbeat probes** before every wave-episode dispatch — a
+    ``fabric.device_drop`` draw is a missed heartbeat, a
+    ``fabric.heartbeat_delay`` draw answers late and burns penalty
+    cycles that grow with the miss count (``backoff_factor``, the
+    cycle-domain analogue of shard retry backoff);
+  - **eviction** after ``max_retries`` consecutive misses (or on a hard
+    :class:`~repro.resilience.faults.DeviceFault` mid-wave) — except the
+    last alive device, which is never evicted (the refusal is recorded
+    and the run continues degraded rather than dying);
+  - **probationary re-admission** — an evicted device is re-probed after
+    ``probation_generations`` generations; a clean probe re-admits it on
+    probation, and surviving one full generation restores it to healthy.
 
 Every transition draws through the seeded
 :class:`~repro.resilience.injectors.DeviceFaultInjector` at a
 generation-scoped site and is recorded as a structured event, so the
-whole health history is a pure function of ``(plan seed, topology)``
-and replays byte-identically.
+whole health history — and with it every placement — is a pure
+function of ``(plan seed, farm size)`` and replays byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.resilience.faults import ResilienceEvent, emit_event
 from repro.resilience.injectors import DeviceFaultInjector
 from repro.resilience.supervisor import SupervisorConfig
 
-__all__ = ["DeviceState", "FabricSupervisor"]
+__all__ = ["DeviceState", "FabricSupervisor", "assign_waves"]
 
 #: device health states (the eviction ladder's rungs)
 HEALTHY = "healthy"
@@ -197,3 +207,33 @@ class FabricSupervisor:
             **details,
         )
         return True
+
+
+def assign_waves(
+    costs: Sequence[float], alive: Sequence[int]
+) -> dict[int, list[int]]:
+    """LPT-assign wave ordinals onto the alive devices.
+
+    The second scheduling level on top of ``pack_waves``: each wave
+    (heaviest predicted cost first, ties by lower ordinal) goes to the
+    least-loaded alive device (ties by lower device id).  Each device's
+    list comes back in ordinal order, preserving the single-device
+    dispatch order within a device.
+
+    Pure function of ``(costs, alive)``: eviction re-packs by calling
+    this again over the orphaned ordinals and the survivor set, so a
+    replay reproduces every placement decision bit for bit.
+    """
+    devices = sorted(alive)
+    if not devices:
+        raise ValueError("assign_waves needs at least one alive device")
+    load = {device: 0.0 for device in devices}
+    queues: dict[int, list[int]] = {device: [] for device in devices}
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    for ordinal in order:
+        target = min(devices, key=lambda d: (load[d], d))
+        queues[target].append(ordinal)
+        load[target] += costs[ordinal]
+    for device in devices:
+        queues[device].sort()
+    return queues

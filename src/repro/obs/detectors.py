@@ -123,7 +123,7 @@ class GenerationSample:
     setup_cycles: float | None = None
     prefetch_hidden_cycles: float | None = None
     prefetch_enabled: bool | None = None
-    #: farm health (fabric backend): alive-device gauge + cumulative
+    #: farm health (multi-device inax): alive-device gauge + cumulative
     #: eviction/re-admission/re-pack counters
     devices_up: float | None = None
     device_evictions: float | None = None

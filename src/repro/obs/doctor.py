@@ -12,7 +12,7 @@ still get a partial diagnosis: per-generation samples are
 reconstructed from ``phase.evaluate`` spans (generation, population),
 ``resilience.*`` marker spans (quarantines, fallback waves, shard
 churn, skipped migrations keyed by the ``gen=N`` site convention) and
-the fabric backend's ``fabric.gen`` markers (devices up, evictions,
+the INAX farm's ``fabric.gen`` markers (devices up, evictions,
 re-admissions, re-packed waves — cumulative snapshots carried as span
 attrs) — fitness/cache/INAX detectors simply see ``None`` for the
 fields a bare trace cannot recover, and skip.

@@ -100,10 +100,10 @@ def wrap_env(env: Any, plan: FaultPlan | None) -> Any:
 class DeviceFaultInjector:
     """INAX-facing fault hooks, all keyed by (wave, step, slot) sites.
 
-    ``site_prefix`` namespaces every site string (the fabric prepends
-    ``dev=N|`` per device, so two devices probing the same wave/step
+    ``site_prefix`` namespaces every site string (a multi-device farm
+    prepends ``dev=N|`` per device, so two devices probing the same wave/step
     coordinates draw independently).  The ``fabric.*`` hooks at the
-    bottom are farm-level — the :class:`~repro.fabric.supervisor.
+    bottom are farm-level — the :class:`~repro.inax.farm.
     FabricSupervisor` calls them with generation-scoped sites.
     """
 

@@ -9,7 +9,13 @@ per genome.
 import numpy as np
 import pytest
 
-from repro.core.backends import CompiledCPUBackend, CPUBackend, INAXBackend
+from repro.core.backends import (
+    BACKENDS,
+    CompiledCPUBackend,
+    CPUBackend,
+    INAXBackend,
+    build_backend,
+)
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
@@ -362,3 +368,34 @@ class TestGPUBackend:
         )
         result = platform.run(max_generations=1)
         assert result.backend_name == "gpu"
+
+
+class TestBuildBackendRouting:
+    """``build_backend`` alone decides what a name and a device count
+    construct: the farm is ``inax`` on ``devices`` devices."""
+
+    def test_registry_is_exactly_the_four_backends(self):
+        assert set(BACKENDS) == {"cpu", "cpu-compiled", "gpu", "inax"}
+
+    def test_inax_builds_a_farm_of_the_requested_size(self, cartpole_cfg):
+        backend = build_backend("inax", "cartpole", cartpole_cfg, devices=3)
+        assert type(backend) is INAXBackend
+        assert backend.name == "inax"
+        assert len(backend.farm) == 3
+        assert backend.fabric.alive() == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["cpu", "cpu-compiled", "gpu"])
+    def test_software_backends_reject_several_devices(
+        self, cartpole_cfg, name
+    ):
+        with pytest.raises(
+            ValueError, match=f"devices=2 needs the inax backend, not '{name}'"
+        ):
+            build_backend(name, "cartpole", cartpole_cfg, devices=2)
+
+    def test_fabric_is_not_a_backend_name(self, cartpole_cfg):
+        for devices in (1, 4):
+            with pytest.raises(ValueError, match="unknown backend 'fabric'"):
+                build_backend(
+                    "fabric", "cartpole", cartpole_cfg, devices=devices
+                )

@@ -1,4 +1,4 @@
-"""Chaos determinism for the fabric backend.
+"""Chaos determinism for the multi-device INAX farm.
 
 The farm's recovery contract, asserted end-to-end on CartPole:
 
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.backends import INAXBackend
-from repro.fabric.backend import FabricINAXBackend
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
@@ -42,7 +41,7 @@ INAX_CFG = dict(num_pus=3, num_pes_per_pu=2)
 
 
 def _fabric(devices=2, plan_text=None, **kwargs):
-    return FabricINAXBackend(
+    return INAXBackend(
         "cartpole",
         _cfg(),
         inax_config=INAXConfig(**INAX_CFG),
@@ -66,16 +65,33 @@ def _fitness(backend):
 
 class TestPlacementTransparency:
     def test_clean_farm_matches_single_device_bitwise(self):
-        single = _fitness(
-            INAXBackend(
-                "cartpole",
-                _cfg(),
-                inax_config=INAXConfig(**INAX_CFG),
-                base_seed=1,
-            )
+        single_backend = INAXBackend(
+            "cartpole",
+            _cfg(),
+            inax_config=INAXConfig(**INAX_CFG),
+            base_seed=1,
         )
+        single = _fitness(single_backend)
         for devices in (1, 2, 3):
-            assert _fitness(_fabric(devices=devices)) == single
+            farm = _fabric(devices=devices)
+            assert _fitness(farm) == single
+            assert (
+                farm.records[-1].episode_lengths
+                == single_backend.records[-1].episode_lengths
+            )
+
+    def test_fault_sites_and_tracks_are_namespaced_only_on_a_farm(self):
+        plan_text = "seed=3,inax.weight_bitflip@0.3"
+        for devices, prefix in ((1, ""), (2, "dev=")):
+            backend = _fabric(devices=devices, plan_text=plan_text)
+            _fitness(backend)
+            sites = [event["site"] for event in backend.fault_plan.event_log()]
+            assert sites  # the plan really fired
+            assert all(site.startswith(prefix) for site in sites)
+            assert prefix or not any("dev=" in site for site in sites)
+            assert [device.track_prefix for device in backend.farm] == (
+                [f"dev{d}." for d in range(devices)] if devices > 1 else [""]
+            )
 
     def test_farm_walls_cover_every_device(self):
         backend = _fabric(devices=2)
@@ -186,3 +202,30 @@ class TestReporterColumns:
         assert columns["devices_up"] == 2.0
         # farm-wide occupancy, not device 0's
         assert 0.0 < columns["pack_eff"] <= 1.0
+
+
+class TestResetRunState:
+    def test_reused_farm_matches_fresh_farm(self):
+        """A pooled farm must not carry evictions, events or walls from
+        its previous run into the next one."""
+        plan_text = "seed=0,fabric.device_drop@1.0"
+        reused = _fabric(devices=2, plan_text=plan_text)
+        fresh = _fabric(devices=2, plan_text=plan_text)
+        try:
+            reused.evaluate(_genomes(_cfg()))
+            reused.reset_run_state()
+            reused.evaluate(_genomes(_cfg()))
+            fresh.evaluate(_genomes(_cfg()))
+        finally:
+            reused.close()
+            fresh.close()
+        assert [e.to_dict() for e in reused.fabric.events] == [
+            e.to_dict() for e in fresh.fabric.events
+        ]
+        assert reused.fabric.alive() == fresh.fabric.alive()
+        assert reused.fabric.counters() == fresh.fabric.counters()
+        assert (
+            reused.records[-1].cycle_report == fresh.records[-1].cycle_report
+        )
+        assert reused.last_wall_cycles == fresh.last_wall_cycles
+        assert reused.last_device_walls == fresh.last_device_walls

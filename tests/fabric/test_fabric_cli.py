@@ -1,6 +1,9 @@
-"""CLI surface for the fabric backend and the island-model run path."""
+"""CLI surface for the multi-device INAX farm and the island-model run
+path."""
 
 import json
+
+import pytest
 
 from repro.cli import build_parser, main
 
@@ -23,16 +26,21 @@ class TestParser:
 
     def test_fabric_backend_choice(self):
         args = build_parser().parse_args(
-            ["run", "--env", "cartpole", "--backend", "fabric",
+            ["run", "--env", "cartpole", "--backend", "inax",
              "--devices", "4"]
         )
-        assert args.backend == "fabric"
+        assert args.backend == "inax"
         assert args.devices == 4
+        # the farm is `inax --devices N`; there is no separate name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--env", "cartpole", "--backend", "fabric"]
+            )
 
     def test_resume_accepts_devices(self):
         args = build_parser().parse_args(
             ["resume", "--checkpoint", "x.json", "--env", "cartpole",
-             "--backend", "fabric", "--devices", "2"]
+             "--backend", "inax", "--devices", "2"]
         )
         assert args.devices == 2
 
@@ -47,7 +55,7 @@ class TestFabricRun:
         )
         assert code in (0, 2)
         manifest = _manifest(_read_trace(trace))
-        assert manifest["backend"] == "fabric"
+        assert manifest["backend"] == "inax"
         assert manifest["devices"] == 2
         assert manifest["supervisor"]["max_retries"] >= 0
 
@@ -57,7 +65,7 @@ class TestFabricRun:
              "--devices", "2", "--quiet"]
         )
         assert code == 2
-        assert "--devices needs the fabric backend" in capsys.readouterr().out
+        assert "devices=2 needs the inax backend" in capsys.readouterr().out
 
     def test_resume_rejects_devices_for_software_backends(
         self, tmp_path, capsys
@@ -76,13 +84,13 @@ class TestFabricRun:
         )
         assert code == 2
         assert capsys.readouterr().out == (
-            "error: --devices needs the fabric backend, not "
+            "error: devices=2 needs the inax backend, not "
             "'cpu-compiled'\n"
         )
 
     def test_chaos_run_prints_resilience_summary(self, capsys):
         code = main(
-            ["run", "--env", "cartpole", "--backend", "fabric",
+            ["run", "--env", "cartpole", "--backend", "inax",
              "--devices", "2", "--population", "30", "--generations", "2",
              "--seed", "2", "--quiet",
              "--faults", "seed=0,fabric.device_drop@1.0"]
@@ -113,6 +121,13 @@ class TestIslandRun:
         assert manifest["islands"] == 2
         assert manifest["migration_interval"] == 1
 
+    def test_software_backend_is_rejected_with_islands(self, capsys):
+        code = main(self.ARGS + ["--backend", "cpu"])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "error: --islands runs on the inax backend, not 'cpu'\n"
+        )
+
     def test_checkpoint_is_rejected_with_islands(self, capsys, tmp_path):
         code = main(
             self.ARGS + ["--checkpoint", str(tmp_path / "ckpt.json")]
@@ -127,7 +142,7 @@ class TestDoctorOnFabricTrace:
     ):
         trace = tmp_path / "trace.jsonl"
         code = main(
-            ["run", "--env", "cartpole", "--backend", "fabric",
+            ["run", "--env", "cartpole", "--backend", "inax",
              "--devices", "2", "--population", "30", "--generations", "2",
              "--seed", "2", "--quiet",
              "--faults", "seed=0,fabric.device_drop@1.0",

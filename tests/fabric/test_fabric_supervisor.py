@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fabric.supervisor import (
+from repro.inax.farm import (
     EVICTED,
     HEALTHY,
     PROBATION,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fabric.topology import FarmTopology, assign_waves
+from repro.fabric.topology import FarmTopology
+from repro.inax.farm import assign_waves
 
 
 class TestFarmTopology:

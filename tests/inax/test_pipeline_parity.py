@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import CPUBackend, INAXBackend
+from repro.fabric.topology import price_farm
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import compile_genome
 from repro.inax.pipeline import PipelineConfig, pack_waves
@@ -136,6 +137,27 @@ class TestPolicyParity:
             config, pop, lengths, pipeline=pipeline, predicted_costs=costs
         )
         _assert_reports_equal(device, analytic)
+
+    @pytest.mark.parametrize(
+        "pipeline", POLICIES, ids=lambda p: f"{p.schedule}-pf{p.prefetch}"
+    )
+    def test_one_device_farm_prices_like_the_analytic_schedule(
+        self, pipeline
+    ):
+        # the farm's analytic twin on one device is schedule_generation
+        config = INAXConfig(num_pus=7, num_pes_per_pu=2)
+        pop = synthetic_population(num_individuals=40, seed=5)
+        rng = np.random.default_rng(11)
+        lengths = [int(v) for v in rng.integers(1, 60, len(pop))]
+        farm = price_farm(config, pop, lengths, devices=1, pipeline=pipeline)
+        analytic = schedule_generation(
+            config,
+            pop,
+            lengths,
+            pipeline=pipeline,
+            predicted_costs=_costs(config, pop, lengths),
+        )
+        assert farm["wall_cycles"] == analytic.total_cycles
 
     def test_stale_predictions_still_parity(self):
         """Predictions can be arbitrarily wrong (lengths shifted a

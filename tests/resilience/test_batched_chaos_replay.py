@@ -102,7 +102,7 @@ def chaos_payload() -> bytes:
             "fitness": generations,
             "events": backend.resilience_log(),
             "columns": backend.reporter_columns(),
-            "cycles": backend.device.report.total_cycles,
+            "cycles": backend.farm[0].report.total_cycles,
             "lengths": [record.episode_lengths for record in backend.records],
         }
     finally:

@@ -103,8 +103,10 @@ class TestSpecValidation:
             JobSpec(env="nope").validate()
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            JobSpec(backend="tpu").validate()
+        # "fabric" too: the device farm is the inax backend
+        for name in ("tpu", "fabric"):
+            with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                JobSpec(backend=name).validate()
 
     def test_bad_numbers(self):
         with pytest.raises(ValueError):

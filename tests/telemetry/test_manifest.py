@@ -73,7 +73,7 @@ class TestFabricAttribution:
         from repro.resilience.supervisor import SupervisorConfig
 
         manifest = RunManifest.collect(
-            command="islands.run", backend="fabric",
+            command="islands.run", backend="inax",
             devices=4, islands=4, migration_interval=5, migration_size=2,
             supervisor=asdict(SupervisorConfig()),
         )
