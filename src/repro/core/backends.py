@@ -13,11 +13,12 @@ run "evaluate":
   and optionally shard the population across a supervised
   ``multiprocessing`` pool.  Fitness trajectories are bit-identical to
   :class:`CPUBackend`;
-* :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
+* :class:`INAXBackend` — the co-designed path (E3-INAX): lower each
   genome to a HW configuration, dispatch the population in waves to the
-  functional INAX device — or to a supervised farm of them
-  (``devices > 1``) — and drive the closed CPU<->FPGA loop until every
-  individual's episode terminates.
+  INAX device — or to a supervised farm of them (``devices > 1``) — and
+  account every wave's cycles.  Clean runs take outputs from the
+  compiled engine and price waves analytically; runs whose results or
+  cycles depend on data drive the stepwise functional device.
 
 All backends drive episodes through the shared rollout machinery
 (:func:`repro.envs.rollout.run_episode` for sequential evaluation,
@@ -482,6 +483,40 @@ class GPUBackend(CPUBackend):
     name = "gpu"
 
 
+#: default capacity of a backend's cross-generation compile cache
+_COMPILE_CACHE_SIZE = 512
+
+
+class _CompileCacheOwner:
+    """The compile-cache lifecycle of a backend that owns one.
+
+    ``cpu-compiled`` and ``inax`` both keep a cross-generation
+    :class:`~repro.compile.CompileCache` (:attr:`_compile_cache`): it is
+    warmed on resume, reported to ``repro resume`` and the health
+    monitor, and survives :meth:`EvaluationBackend.reset_run_state` with
+    its counters restarted.
+    """
+
+    _compile_cache: CompileCache
+
+    def compile_cache_info(self) -> dict[str, int]:
+        """Compile-cache statistics: hits, misses, size, warmed."""
+        return self._compile_cache.info()
+
+    def warm_caches(self, genomes: list[Genome]) -> int:
+        built = 0
+        for genome in genomes:
+            if self._compile_cache.warm(genome, self.neat_config):
+                built += 1
+        return built
+
+    def _restart_compile_counters(self) -> None:
+        """Zero hit/miss/warmed; the compiled entries stay."""
+        self._compile_cache.hits = 0
+        self._compile_cache.misses = 0
+        self._compile_cache.warmed = 0
+
+
 # ------------------------------------------------------------------ pool
 class _WorkerState:
     """One worker process's state for CompiledCPUBackend's shards.
@@ -602,7 +637,7 @@ def _worker_evaluate(
     return rows, telemetry
 
 
-class CompiledCPUBackend(EvaluationBackend):
+class CompiledCPUBackend(_CompileCacheOwner, EvaluationBackend):
     """Structural-batching software evaluation (``cpu-compiled``).
 
     Three optimizations over :class:`CPUBackend`, none of which change a
@@ -642,7 +677,7 @@ class CompiledCPUBackend(EvaluationBackend):
         neat_config: NEATConfig,
         *,
         workers: int = 0,
-        cache_size: int = 512,
+        cache_size: int = _COMPILE_CACHE_SIZE,
         supervisor: SupervisorConfig | None = None,
         **kwargs,
     ):
@@ -700,9 +735,7 @@ class CompiledCPUBackend(EvaluationBackend):
         boundary does not disturb.
         """
         super().reset_run_state(base_seed=base_seed)
-        self._compile_cache.hits = 0
-        self._compile_cache.misses = 0
-        self._compile_cache.warmed = 0
+        self._restart_compile_counters()
         self._shard_compile = {"hits": 0, "misses": 0}
         if self._supervisor is not None:
             # per-run resilience accounting; the pool itself stays warm
@@ -728,13 +761,6 @@ class CompiledCPUBackend(EvaluationBackend):
             "size": info["size"] + sum(self._shard_compile_sizes.values()),
             "warmed": info["warmed"],
         }
-
-    def warm_caches(self, genomes: list[Genome]) -> int:
-        built = 0
-        for genome in genomes:
-            if self._compile_cache.warm(genome, self.neat_config):
-                built += 1
-        return built
 
     def reporter_columns(self) -> dict[str, float]:
         columns = super().reporter_columns()
@@ -963,16 +989,33 @@ class CompiledCPUBackend(EvaluationBackend):
 
 
 
-class INAXBackend(EvaluationBackend):
-    """HW/SW co-designed evaluation on a farm of functional INAX devices.
+class INAXBackend(_CompileCacheOwner, EvaluationBackend):
+    """HW/SW co-designed evaluation on a farm of INAX devices.
 
     Episodes run in lock-step across a wave of PUs: each synchronized
     device step infers every still-alive individual, then the CPU steps
     each individual's environment with the decoded action.  Early
     terminations drop out of subsequent steps (the §V-B2 idle-PU
-    effect), and the device's cycle report reflects it.  The wave loop
-    itself is the shared :func:`run_lockstep` driver with the device as
-    the inference function.
+    effect), and the device's cycle report reflects it.
+
+    **Routing.** Every genome lowers through the backend's
+    cross-generation :class:`~repro.compile.CompileCache`
+    (``entry.hw_config``), and the dispatch loop below is the same on
+    both routes; only where a wave-episode's outputs and cycles come
+    from differs:
+
+    * *clean runs* (no ``fault_plan``, the float64 datapath, dense
+      timing) run every runnable genome's episodes once, up front, on
+      the compiled engine — bit-exact with the device — and price each
+      wave-episode with :meth:`INAX.price_wave`, which advances the
+      device's report, prefetch window, timeline and trace spans exactly
+      as stepping it would;
+    * *data-dependent runs* — any ``fault_plan``, a quantized
+      ``inax_config.datapath`` or ``skip_zero_activations`` — drive the
+      stepwise device (the shared :func:`run_lockstep` loop with
+      :meth:`INAX.step` as the inference function), which stays the
+      oracle for chaos replay, quantized outputs and the fallback
+      ladder.
 
     The backend owns ``devices`` INAX devices (:attr:`farm`; one by
     default — a single device is a farm of one):
@@ -1029,8 +1072,9 @@ class INAXBackend(EvaluationBackend):
         of aborting, and an oversized genome under
         ``oversize_policy="raise"`` is evaluated in software rather than
         killing the run.  :attr:`oversize_count` is cumulative over the
-        backend's lifetime — it is never reset, so per-generation
-        deltas come from successive reporter rows.
+        run — :meth:`reset_run_state` zeroes it, so a pooled backend
+        counts each job from 0 — and per-generation deltas come from
+        successive reporter rows.
 
         ``devices`` sizes the farm; ``supervisor`` is the shared
         recovery policy (:class:`SupervisorConfig` — the same frozen
@@ -1105,9 +1149,11 @@ class INAXBackend(EvaluationBackend):
         self.fallback = fallback
         self.fallback_waves = 0
         self.fallback_genomes = 0
+        self._compile_cache = CompileCache(_COMPILE_CACHE_SIZE)
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
         super().reset_run_state(base_seed=base_seed)
+        self._restart_compile_counters()
         # the devices carry no cross-generation run state (their reports
         # reset per generation); the farm's health history, walls and
         # the gate/fallback tallies do
@@ -1138,19 +1184,25 @@ class INAXBackend(EvaluationBackend):
 
     def _gate_oversize(
         self, genomes: list[Genome]
-    ) -> tuple[list[Genome], list[HWNetConfig]]:
-        """Compile and apply the buffer-capacity gate (§IV-D).
+    ) -> tuple[list[Genome], list[CompiledStructure], list[HWNetConfig]]:
+        """Lower every genome and apply the buffer-capacity gate (§IV-D).
 
-        Returns the runnable (genome, config) subset; oversized genomes
-        are resolved here (software fallback or penalty) per
-        ``oversize_policy``.
+        Returns the runnable subset as (genomes, compiled shapes, HW
+        configs); oversized genomes are resolved here (software fallback
+        or penalty) per ``oversize_policy``.
         """
-        all_configs = [compile_genome(g, self.neat_config) for g in genomes]
+        with _span("compile.lookup", genomes=len(genomes)):
+            all_entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
         runnable: list[Genome] = []
+        entries: list[CompiledStructure] = []
         configs: list[HWNetConfig] = []
-        for genome, config in zip(genomes, all_configs):
+        for genome, entry in zip(genomes, all_entries):
+            config = entry.hw_config(genome)
             if self._fits_buffers(config):
                 runnable.append(genome)
+                entries.append(entry)
                 configs.append(config)
                 continue
             site = f"gen={self._generation}|genome={genome.key}"
@@ -1179,7 +1231,22 @@ class INAXBackend(EvaluationBackend):
                     "inax.oversize", site,
                     penalty=self.oversize_penalty,
                 )
-        return runnable, configs
+        return runnable, entries, configs
+
+    def _stepwise(self) -> bool:
+        """Whether this run must drive the stepwise device.
+
+        Outputs or cycles depend on data under injected faults, a
+        quantized datapath and zero-skipping; on every other run the
+        outputs equal the compiled engine's and the cycles the analytic
+        schedule's.
+        """
+        hw = self.inax_config
+        return (
+            self.fault_plan is not None
+            or hw.datapath is not None
+            or hw.skip_zero_activations
+        )
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         assert self.inax_config is not None
@@ -1187,7 +1254,16 @@ class INAXBackend(EvaluationBackend):
         sup = self.fabric
         sup.begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
-        runnable, configs = self._gate_oversize(genomes)
+        runnable, entries, configs = self._gate_oversize(genomes)
+        # a clean run computes every episode once, up front; the
+        # dispatch below then only prices each wave-episode
+        outputs = (
+            None
+            if self._stepwise()
+            else self._compiled_records(
+                runnable, entries, range(self.episodes_per_genome)
+            )
+        )
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
@@ -1254,6 +1330,7 @@ class INAXBackend(EvaluationBackend):
                         rewards,
                         dispatched,
                         queue,
+                        outputs,
                     )
                     if not done:
                         self._repack(generation, device, queues, wave_costs)
@@ -1285,11 +1362,15 @@ class INAXBackend(EvaluationBackend):
         rewards: list[float],
         dispatched: dict[int, int],
         queue: deque,
+        outputs: list[list[EpisodeRecord]] | None,
     ) -> bool:
         """Run one queued wave's remaining episodes on ``device``.
 
         ``indices`` maps wave slot -> population index, so any packing
-        order lands results on the right individual.  Returns True when
+        order lands results on the right individual.  ``outputs`` holds
+        every runnable genome's precomputed episode records on a clean
+        run, where the device only prices the wave; ``None`` makes the
+        stepwise device produce them.  Returns True when
         the wave completed; False when the device was evicted mid-wave
         — the queue's head entry is rewound to the first unfinished
         episode so the re-pack resumes exactly there.
@@ -1306,6 +1387,11 @@ class INAXBackend(EvaluationBackend):
                     wave_configs,
                     episode,
                     prefetched=prefetched,
+                    outputs=(
+                        None
+                        if outputs is None
+                        else [outputs[i][episode] for i in indices]
+                    ),
                 )
             except (DeviceFault, BufferOverflowError) as error:
                 self.farm[device].abort_wave()
@@ -1463,8 +1549,9 @@ class INAXBackend(EvaluationBackend):
         interpreted per-node path.
         """
         if self.fallback == "cpu-compiled":
-            cache = CompileCache(len(genomes))
-            entries = [cache.get(g, self.neat_config) for g in genomes]
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
             return self._compiled_records(genomes, entries, episodes)
         return self._interpreted_records(genomes, episodes)
 
@@ -1482,13 +1569,23 @@ class INAXBackend(EvaluationBackend):
         configs: list[HWNetConfig],
         episode: int,
         prefetched: bool = False,
+        outputs: list[EpisodeRecord] | None = None,
     ):
         """One wave's episode on one device; raises on device faults.
 
-        The fresh-env + per-(genome, episode) seed discipline lives
-        here, so any farm device produces bit-identical episode records
-        for the same wave.
+        Precomputed ``outputs`` are returned as they are, after the
+        device prices the wave from their episode lengths.  Otherwise
+        the device steps the episode itself; the fresh-env +
+        per-(genome, episode) seed discipline lives here, so any farm
+        device produces bit-identical episode records for the same wave.
         """
+        if outputs is not None:
+            device.price_wave(
+                configs,
+                [record.steps for record in outputs],
+                prefetched=prefetched,
+            )
+            return outputs
         device.begin_wave(configs, prefetched=prefetched)
         envs = [self._make_env() for _ in genomes]
         seeds = [self._episode_seed(genome, episode) for genome in genomes]
@@ -1545,12 +1642,15 @@ def build_backend(
     fresh ``E3`` one.  ``workers`` and ``supervisor`` reach only the
     backends that shard or supervise; ``fallback`` and ``devices`` only
     the device backend, and a software backend asked for more than one
-    device is rejected — it has no devices to spread over.
+    device is rejected — it has no devices to spread over.  Fewer than
+    one device is rejected for every backend.
     """
     if name not in BACKENDS:
         names = ", ".join(repr(n) for n in sorted(BACKENDS))
         raise ValueError(f"unknown backend {name!r}; use one of {names}")
     extra = _EXTRA_KWARGS.get(name, ())
+    if devices < 1:
+        raise ValueError(f"devices must be >= 1, got {devices}")
     if devices > 1 and "devices" not in extra:
         raise ValueError(
             f"devices={devices} needs the inax backend, not {name!r}"

@@ -2,16 +2,23 @@
 
 Two execution paths are provided:
 
-* the **stepwise device** (:class:`INAX`) — a functional simulator the
-  E3 platform drives one synchronized inference at a time, exactly like
-  the FPGA: ``begin_wave`` (set-up phase over the weight channel), then
-  repeated ``step`` calls (input scatter, parallel PU inference, output
-  gather), with early-terminated individuals simply dropping out of
-  subsequent steps;
-* the **analytic scheduler** (:func:`schedule_generation`) — a
-  closed-form cycle-count evaluation for timing-only studies (the Fig
-  6/7/9(a)/11 sweeps), exploiting the fact that an individual's
-  per-inference latency is input-independent.
+* the **stepwise device** (:class:`INAX` driven through ``begin_wave`` /
+  ``step`` / ``end_wave``) — a functional simulator the E3 platform
+  drives one synchronized inference at a time, exactly like the FPGA:
+  the set-up phase over the weight channel, then repeated steps (input
+  scatter, parallel PU inference, output gather), with early-terminated
+  individuals simply dropping out of subsequent steps.  It is the
+  oracle for outputs and cycles, and the only path whose results or
+  cycles may depend on data: fault injection, a quantized ``datapath``
+  and ``skip_zero_activations`` all run here;
+* the **analytic scheduler** (:func:`schedule_generation`,
+  :func:`schedule_waves`, and the per-device :meth:`INAX.price_wave`) —
+  a closed-form cycle count that exploits the fact that an individual's
+  per-inference latency is input-independent on the float64 datapath.
+  Timing-only studies (the Fig 6/7/9(a)/11 sweeps) call it directly;
+  the ``inax`` backend prices every clean wave through
+  :meth:`INAX.price_wave`, with outputs taken from the compiled
+  software engine, which is bit-exact with the device.
 
 Both paths share the same per-PU timing semantics, and the tests assert
 they agree cycle-for-cycle.
@@ -155,20 +162,8 @@ class INAX:
         :attr:`CycleReport.prefetch_hidden_cycles`.  The first wave of a
         generation has no window and must not pass ``prefetched``.
         """
-        if self._wave_slots:
-            raise RuntimeError(
-                "a wave is already in progress; the controller requires "
-                "end_wave() before the next set-up phase (sig-channel "
-                "handshake order)"
-            )
-        if len(configs) > self.config.num_pus:
-            raise ValueError(
-                f"wave of {len(configs)} exceeds {self.config.num_pus} PUs"
-            )
-        if not configs:
-            raise ValueError("a wave needs at least one individual")
+        self._open_wave(configs)
         self._wave_slots = list(configs)
-        self._wave_index += 1
         self._wave_step = 0
         decode_cycles = []
         for pu, cfg in zip(self.pus, configs):
@@ -252,7 +247,6 @@ class INAX:
                 self._slot_steps[slot] += 1
             in_words += self._wave_slots[slot].num_inputs
             out_words += self._wave_slots[slot].num_outputs
-            self.report.layer_iterations.extend(timing.iterations_per_layer)
 
         io = cfg.dma.transfer_cycles(in_words) + cfg.dma.transfer_cycles(out_words)
         if injector is not None:
@@ -288,6 +282,75 @@ class INAX:
             raise RuntimeError(
                 "no wave in progress; end_wave() must pair with begin_wave()"
             )
+        self._close_wave()
+
+    def price_wave(
+        self,
+        configs: list[HWNetConfig],
+        lengths: list[int],
+        prefetched: bool = False,
+    ) -> None:
+        """Account one whole wave analytically, without executing it.
+
+        ``lengths[i]`` is the number of steps slot ``i``'s episode ran.
+        The report, the device-timeline cursor, the prefetch window and
+        — while a tracer is installed — the per-slot tallies and wave
+        spans advance exactly as ``begin_wave`` + one ``step`` per tick
+        + ``end_wave`` would on the float64 datapath, where a step's
+        latency does not depend on its inputs.  Runs with injected
+        faults, a quantized ``datapath`` or ``skip_zero_activations``
+        must use the stepwise device instead.
+        """
+        self._open_wave(configs)
+        cfg = self.config
+        step_cycles, pe_active = _cost_fns(cfg)
+        tracing = get_tracer() is not None
+        slot_ends = [0] * len(configs) if tracing else None
+        exposed, hidden, compute = _schedule_wave(
+            cfg,
+            configs,
+            lengths,
+            self.report,
+            step_cycles,
+            pe_active,
+            prefetch_window=self._prev_wave_compute if prefetched else 0,
+            slot_ends=slot_ends,
+        )
+        self.report.individuals += len(configs)
+        self._wave_start_cycle = self._cycle
+        self._wave_setup_cycles = exposed
+        self._wave_hidden_setup = hidden
+        end_of_setup = self._cycle + exposed
+        self._cycle = end_of_setup + compute
+        self._compute_since_setup = compute
+        self._tracing = tracing
+        if slot_ends is not None:
+            self._wave_slots = list(configs)
+            self._slot_last_active = [end_of_setup + end for end in slot_ends]
+            self._slot_active_cycles = [
+                length * step_cycles(c) for c, length in zip(configs, lengths)
+            ]
+            self._slot_steps = list(lengths)
+        self._close_wave()
+
+    def _open_wave(self, configs: list[HWNetConfig]) -> None:
+        """Validate a wave's dispatch and advance the wave counter."""
+        if self._wave_slots:
+            raise RuntimeError(
+                "a wave is already in progress; the controller requires "
+                "end_wave() before the next set-up phase (sig-channel "
+                "handshake order)"
+            )
+        if len(configs) > self.config.num_pus:
+            raise ValueError(
+                f"wave of {len(configs)} exceeds {self.config.num_pus} PUs"
+            )
+        if not configs:
+            raise ValueError("a wave needs at least one individual")
+        self._wave_index += 1
+
+    def _close_wave(self) -> None:
+        """Emit the finished wave's spans and open the prefetch window."""
         if self._tracing:
             self._emit_wave_spans()
         self._wave_slots = []
@@ -430,12 +493,9 @@ def schedule_generation(
         raise ValueError("need one episode length per individual")
     if any(length < 1 for length in episode_lengths):
         raise ValueError("episode lengths must be >= 1")
-    if step_cycles_fn is None:
-        step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-            c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
-        )
-    if pe_active_fn is None:
-        pe_active_fn = lambda c: _static_pe_active(c, config.pe_costs)  # noqa: E731
+    default_step_cycles, default_pe_active = _cost_fns(config)
+    step_cycles_fn = step_cycles_fn or default_step_cycles
+    pe_active_fn = pe_active_fn or default_pe_active
     pipeline = pipeline or PipelineConfig()
     if predicted_costs is not None and len(predicted_costs) != len(net_configs):
         raise ValueError("need one predicted cost per individual")
@@ -480,12 +540,9 @@ def schedule_waves(
     exact single-device wave semantics (including per-device prefetch
     windows).
     """
-    if step_cycles_fn is None:
-        step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-            c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
-        )
-    if pe_active_fn is None:
-        pe_active_fn = lambda c: _static_pe_active(c, config.pe_costs)  # noqa: E731
+    default_step_cycles, default_pe_active = _cost_fns(config)
+    step_cycles_fn = step_cycles_fn or default_step_cycles
+    pe_active_fn = pe_active_fn or default_pe_active
     if report is None:
         report = CycleReport()
         report.individuals = sum(len(indices) for indices in waves)
@@ -494,11 +551,25 @@ def schedule_waves(
         wave = [net_configs[i] for i in indices]
         lengths = [episode_lengths[i] for i in indices]
         window = prev_compute if (prefetch and ordinal > 0) else 0.0
-        prev_compute = _schedule_wave(
+        _, _, prev_compute = _schedule_wave(
             config, wave, lengths, report, step_cycles_fn, pe_active_fn,
             prefetch_window=window,
         )
     return report
+
+
+def _cost_fns(config: INAXConfig):
+    """INAX's per-inference latency and PE-activity models for ``config``."""
+
+    def step_cycles(net: HWNetConfig) -> int:
+        return _static_step_cycles(
+            net, config.num_pes_per_pu, config.pe_costs, config.pu_costs
+        )
+
+    def pe_active(net: HWNetConfig) -> int:
+        return _static_pe_active(net, config.pe_costs)
+
+    return step_cycles, pe_active
 
 
 def _schedule_wave(
@@ -509,8 +580,15 @@ def _schedule_wave(
     step_cycles_fn,
     pe_active_fn,
     prefetch_window: float = 0.0,
-) -> float:
-    """Price one wave into ``report``; returns its compute wall-clock."""
+    slot_ends: list | None = None,
+) -> tuple[float, float, float]:
+    """Price one wave into ``report``.
+
+    Returns ``(exposed set-up, hidden set-up, compute wall-clock)``.
+    When ``slot_ends`` is given, ``slot_ends[i]`` is set to the compute
+    cycles elapsed when slot ``i``'s last step finished — where the
+    stepwise device's trace ends that PU's compute span.
+    """
     pu_costs, dma = config.pu_costs, config.dma
 
     # --- set-up phase (the prefetch window hides the leading part) ---
@@ -521,8 +599,9 @@ def _schedule_wave(
         decode
     )
     exposed = max(0, setup_wall - prefetch_window)
+    hidden = setup_wall - exposed
     report.setup_cycles += exposed
-    report.prefetch_hidden_cycles += setup_wall - exposed
+    report.prefetch_hidden_cycles += hidden
     report.pu_provisioned_cycles += config.num_pus * exposed
     report.pu_active_cycles += len(wave) * exposed
     report.waves += 1
@@ -530,7 +609,7 @@ def _schedule_wave(
     # --- compute phase: group steps by the set of live individuals ---
     per_step_cycles = [step_cycles_fn(c) for c in wave]
     per_step_active = [pe_active_fn(c) for c in wave]
-    compute_wall = 0.0
+    compute_wall = 0
 
     order = sorted(range(len(wave)), key=lambda i: lengths[i])
     live = list(order)  # indices still alive, shortest-lived first
@@ -564,8 +643,12 @@ def _schedule_wave(
         report.live_slot_steps += n_steps * len(live)
         report.slot_steps_provisioned += n_steps * config.num_pus
         t = horizon
+        if slot_ends is not None:
+            for i in live:
+                if lengths[i] == t:
+                    slot_ends[i] = compute_wall
         live = [i for i in live if lengths[i] > t]
-    return compute_wall
+    return exposed, hidden, compute_wall
 
 
 def _static_pe_active(net: HWNetConfig, pe_costs: PECosts) -> int:

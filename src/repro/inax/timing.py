@@ -62,7 +62,9 @@ class CycleReport:
     live_slot_steps: int = 0
     #: slot-steps provisioned (``num_pus`` per synchronized step)
     slot_steps_provisioned: int = 0
-    #: iteration counts per layer-execution (diagnostics)
+    #: unused: no execution path fills it.  Per-inference layer
+    #: iteration counts live on :class:`~repro.inax.pu.StepTiming`; the
+    #: field stays so readers that drop it by name keep working
     layer_iterations: list[int] = field(default_factory=list)
 
     # ------------------------------------------------------------ totals
@@ -128,4 +130,3 @@ class CycleReport:
         self.prefetch_hidden_cycles += other.prefetch_hidden_cycles
         self.live_slot_steps += other.live_slot_steps
         self.slot_steps_provisioned += other.slot_steps_provisioned
-        self.layer_iterations.extend(other.layer_iterations)

@@ -345,6 +345,21 @@ class TestOversizePolicy:
         assert all(g.fitness > backend.oversize_penalty for g in genomes)
 
 
+    def test_pooled_oversize_column_restarts_per_run(self, cartpole_cfg):
+        # oversize_count is per run: a pooled backend's next job counts
+        # from 0 and reports what a fresh backend does
+        pooled = self._tiny_buffer_backend(cartpole_cfg, "penalize")
+        pooled.evaluate(_genomes(cartpole_cfg))
+        assert pooled.reporter_columns()["oversize"] > 0
+        pooled.reset_run_state(base_seed=1)
+        assert pooled.reporter_columns()["oversize"] == 0.0
+        fresh = self._tiny_buffer_backend(cartpole_cfg, "penalize")
+        for backend in (pooled, fresh):
+            backend.evaluate(_genomes(cartpole_cfg, seed=3))
+        assert pooled.reporter_columns()["oversize"] > 0
+        assert pooled.reporter_columns() == fresh.reporter_columns()
+
+
 class TestGPUBackend:
     def test_functionally_identical_to_cpu(self, cartpole_cfg):
         from repro.core.backends import GPUBackend
@@ -392,6 +407,16 @@ class TestBuildBackendRouting:
             ValueError, match=f"devices=2 needs the inax backend, not '{name}'"
         ):
             build_backend(name, "cartpole", cartpole_cfg, devices=2)
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    @pytest.mark.parametrize("devices", [0, -1])
+    def test_every_backend_rejects_fewer_than_one_device(
+        self, cartpole_cfg, name, devices
+    ):
+        with pytest.raises(
+            ValueError, match=f"devices must be >= 1, got {devices}"
+        ):
+            build_backend(name, "cartpole", cartpole_cfg, devices=devices)
 
     def test_fabric_is_not_a_backend_name(self, cartpole_cfg):
         for devices in (1, 4):

@@ -88,6 +88,32 @@ class TestFabricRun:
             "'cpu-compiled'\n"
         )
 
+    def test_zero_devices_rejected_on_every_backend(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ckpt.json"
+        main(
+            ["run", "--env", "cartpole", "--backend", "cpu",
+             "--population", "12", "--generations", "1", "--seed", "2",
+             "--quiet", "--checkpoint", str(checkpoint)]
+        )
+        capsys.readouterr()
+        for backend in ("cpu", "inax"):
+            code = main(
+                ["run", "--env", "cartpole", "--backend", backend,
+                 "--devices", "0", "--quiet"]
+            )
+            assert code == 2
+            assert capsys.readouterr().out == (
+                "error: devices must be >= 1, got 0\n"
+            )
+        code = main(
+            ["resume", "--checkpoint", str(checkpoint), "--env",
+             "cartpole", "--backend", "cpu", "--devices", "0", "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "error: devices must be >= 1, got 0\n"
+        )
+
     def test_chaos_run_prints_resilience_summary(self, capsys):
         code = main(
             ["run", "--env", "cartpole", "--backend", "inax",
